@@ -33,11 +33,12 @@ cargo run -q --example cca_lint -- --apps
 echo "== comm-plan lint (static schedule verification, all shipped configs)"
 cargo run -q --example cca_lint -- --comm
 
-echo "== serve smoke (demo request stream through the job server)"
-cargo run -q --example cca_serve -- --demo > /dev/null
+echo "== serve smoke (demo request stream through a 2-shard fleet)"
+cargo run -q --example cca_serve -- --fleet 2 --demo > /dev/null
 
-echo "== fleet smoke (multi-tenant loadgen across 2 serve shards)"
-cargo run -q --example cca_serve -- --fleet > /dev/null
+echo "== benchmark package (stand-alone; must keep compiling against the crates)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "== cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

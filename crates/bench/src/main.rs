@@ -47,8 +47,8 @@
 //! per-kernel cells/second and the tiled-vs-dense-untiled speedups.
 //!
 //! The `serve` pair freezes the PR-3 serving-subsystem loadgen (200 jobs,
-//! 25% duplicates, fault and deadline injection) — the server schedules
-//! on a virtual tick clock, so every counter *and every latency
+//! 25% duplicates, fault and deadline injection) on a one-shard fleet —
+//! the fleet schedules on a virtual tick clock, so every counter *and every latency
 //! percentile* in the file is deterministic.
 //!
 //! The `hotpath` pair freezes the PR-4 memory discipline: each SAMR hot
@@ -911,13 +911,14 @@ fn serve_json() -> String {
         s.run_ticks.max
     ));
     out.push_str("  \"sessions\": [\n");
-    for (i, sess) in s.sessions.iter().enumerate() {
+    let slots = &s.shards[0].slots;
+    for (i, sess) in slots.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"id\": {}, \"epoch\": {}, \"runs\": {}}}{}\n",
             sess.id,
             sess.epoch,
             sess.runs,
-            if i + 1 < s.sessions.len() { "," } else { "" }
+            if i + 1 < slots.len() { "," } else { "" }
         ));
     }
     out.push_str("  ]\n}\n");

@@ -74,6 +74,27 @@ impl Default for Framework {
     }
 }
 
+/// Port objects hold the [`Services`] handle whose registry owns them — a
+/// reference cycle. Emptying every registry on drop breaks it, so the
+/// instances, their state and the executor's worker threads are released
+/// with the framework. Port handles a caller still holds stay valid but
+/// can no longer resolve their uses-ports.
+impl Drop for Framework {
+    fn drop(&mut self) {
+        for inst in self.instances.values() {
+            // Move the tables out first: port destructors run only after
+            // the registry borrow is released.
+            let tables = inst.services.state.try_borrow_mut().map(|mut st| {
+                (
+                    std::mem::take(&mut st.provides),
+                    std::mem::take(&mut st.uses),
+                )
+            });
+            drop(tables);
+        }
+    }
+}
+
 impl Framework {
     /// Empty framework with an empty palette. The executor worker count is
     /// initialized from the `CCA_HYDRO_THREADS` environment variable
@@ -537,6 +558,48 @@ mod tests {
             s.add_provides_port::<Rc<dyn GoPort>>("go", Rc::new(Driver));
             s.add_provides_port::<Rc<dyn GoPort>>("go-fail", Rc::new(FailingDriver));
         }
+    }
+
+    /// Port state that records its own destruction; the port keeps the
+    /// `Services` handle of the registry that owns it (the cycle).
+    struct Flagged {
+        dropped: Rc<Cell<bool>>,
+        _services: Services,
+    }
+    impl Counter for Flagged {
+        fn bump(&self) -> u32 {
+            0
+        }
+    }
+    impl Drop for Flagged {
+        fn drop(&mut self) {
+            self.dropped.set(true);
+        }
+    }
+    struct FlaggedProv(Rc<Cell<bool>>);
+    impl Component for FlaggedProv {
+        fn set_services(&mut self, s: Services) {
+            let port = Flagged {
+                dropped: self.0.clone(),
+                _services: s.clone(),
+            };
+            s.add_provides_port::<Rc<dyn Counter>>("ctr", Rc::new(port));
+        }
+    }
+
+    #[test]
+    fn dropping_the_framework_frees_port_state_that_holds_its_services() {
+        let dropped = Rc::new(Cell::new(false));
+        let flag = dropped.clone();
+        let mut fw = Framework::new();
+        fw.register_class("FlaggedProv", move || Box::new(FlaggedProv(flag.clone())));
+        fw.register_class("User", || Box::new(User));
+        fw.instantiate("FlaggedProv", "p").unwrap();
+        fw.instantiate("User", "u").unwrap();
+        fw.connect("u", "ctr-in", "p", "ctr").unwrap();
+        assert!(!dropped.get());
+        drop(fw);
+        assert!(dropped.get(), "the services cycle kept the port alive");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! runs are deterministic, a hit is *bit-identical* to recomputation —
 //! the fidelity test in `tests/serve_cache.rs` pins exactly that.
 
-use crate::job::{fnv1a64, JobKey};
+use crate::job::JobKey;
+use cca_ckpt::{fnv1a64, FNV1A_INIT};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -35,7 +36,7 @@ impl Artifacts {
             bytes.extend_from_slice(ck);
         }
         bytes.extend_from_slice(&self.steps.to_le_bytes());
-        self.transcript_digest = format!("{:016x}", fnv1a64(0xcbf2_9ce4_8422_2325, &bytes));
+        self.transcript_digest = format!("{:016x}", fnv1a64(FNV1A_INIT, &bytes));
         self
     }
 
@@ -45,7 +46,7 @@ impl Artifacts {
     }
 }
 
-/// Counters the cache exposes through [`crate::stats::ServerStats`].
+/// Counters the cache exposes through [`crate::shard::ShardStat`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Entries currently resident.

@@ -2,8 +2,9 @@
 //! deterministic work stealing, per-tenant QoS fair-share scheduling,
 //! deadline-aware admission, and checkpoint-based migration of long jobs.
 //!
-//! The single [`crate::server::Server`] of PR 3 is one session pool
-//! behind one queue. A fleet shards that capability:
+//! This is the crate's only scheduler. A single-pool deployment is the
+//! one-shard fleet, `Fleet::new(FleetConfig { shards: 1, .. })`; every
+//! mechanism below degenerates cleanly (one home, nobody to steal from):
 //!
 //! * **Routing** — every [`JobKey`] has exactly one *home* shard, chosen
 //!   by a [`HashRing`] (FNV points, no process-seeded hashing, identical
@@ -39,20 +40,159 @@
 //! jobs simply resume on whatever pool exists next — the same
 //! any-pool-size restart guarantee `cca-ckpt` gives the distributed SAMR
 //! runs.
+//!
+//! Job lifecycle (the DESIGN.md §7 state machine; [`Fleet::submit`] owns
+//! the edges out of `submit`, one `Transition` per dispatch the rest):
+//!
+//! ```text
+//! submit ──admission error──────▶ Rejected(admission)
+//!   │ ──cache hit at home───────▶ Cached
+//!   │ ──duplicate queued at home▶ Follower ──primary answered─▶ Cached
+//!   │                                      └─primary lost─────▶ promoted ─▶ Queued
+//!   │ ──deadline provably late──▶ Rejected(deadline) │ downgraded ─▶ Queued
+//!   │ ──home queue full─────────▶ Rejected(full, retry-after hint)
+//!   ▼
+//! Queued ──client cancel────────▶ Cancelled
+//!   │ ──result landed at home───▶ Cached
+//!   │ ──stolen by an idle shard─▶ Queued on the thief (home keeps cache + followers)
+//!   │ ──continuation on a new shard: *migrated* under a handoff ticket
+//!   │                             over its checkpoint bytes ──rejected─▶ Failed
+//!   ▼ ready, session free
+//! Running ──ok──────────▶ Completed (+ cache insert at home)
+//!   │ ──budget/token────▶ Cancelled
+//!   │ ──solver error────▶ Failed
+//!   │ ──panic───────────▶ session poisoned + rebuilt;
+//!   │                     retries left ─backoff─▶ Queued at home, else Failed
+//!   └──slice over───────▶ Preempted ─continuation (restore = last
+//!                         committed set)─▶ Queued at home
+//! ```
+//!
+//! Time is counted in **virtual ticks**: an attempt costs `1 + macro
+//! steps executed`. Queue waits, retry backoff and the retry-after hint
+//! are all tick arithmetic — the whole schedule is a pure function of
+//! the submission sequence, which is what lets the loadgen benchmarks pin
+//! their latency distributions byte-for-byte.
 
+use crate::cache::Artifacts;
 use crate::cost::{CostModel, LatePolicy};
-use crate::job::{fnv1a64, JobId, JobKey, Override, SimJob, WorkloadKind, FNV_OFFSET};
+use crate::job::{JobId, JobKey, Override, SimJob, WorkloadKind};
 use crate::queue::Entry;
-use crate::server::{JobOutcome, SubmitError};
 use crate::session::{CancelReason, CancelToken, PaletteFn, PreemptSpec, RunOutcome};
 use crate::shard::{Follower, Shard, ShardStat};
 use crate::stats::LatencyStat;
 use crate::tenant::{default_tenants, TenantSpec, TenantState};
 use cca_analyze::Analyzer;
-use cca_ckpt::HandoffTicket;
+use cca_ckpt::{fnv1a64, HandoffTicket, FNV1A_INIT};
 use cca_core::{ExecutorStats, Profiler};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
+
+/// Why a submission was refused (no session time was spent on it).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SubmitError {
+    /// Queue at capacity: back off and resubmit after the hinted ticks.
+    QueueFull {
+        /// Queue depth at rejection time.
+        depth: usize,
+        /// Deterministic hint: ticks until a slot is plausibly free.
+        retry_after: u64,
+    },
+    /// The static admission check found errors; rendered report attached.
+    Admission {
+        /// `cca-analyze` report rendered against the submitted script.
+        report: String,
+    },
+    /// The fleet's cost model proved the deadline unreachable: even the
+    /// globally earliest-free session would finish at `needed`, past
+    /// `deadline`. Raised only for jobs with [`LatePolicy::Reject`].
+    Deadline {
+        /// Earliest provable completion tick (absolute).
+        needed: u64,
+        /// The requested deadline (absolute virtual tick).
+        deadline: u64,
+    },
+}
+
+impl std::fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SubmitError::QueueFull { depth, retry_after } => {
+                write!(
+                    f,
+                    "queue full (depth {depth}); retry after {retry_after} ticks"
+                )
+            }
+            SubmitError::Admission { report } => {
+                write!(f, "rejected by admission check:\n{report}")
+            }
+            SubmitError::Deadline { needed, deadline } => {
+                write!(
+                    f,
+                    "deadline provably unreachable: earliest completion at tick {needed}, \
+                     deadline at tick {deadline}"
+                )
+            }
+        }
+    }
+}
+
+/// Terminal state of an accepted submission.
+#[derive(Clone, Debug)]
+pub enum JobOutcome {
+    /// Ran to completion on a session.
+    Completed {
+        /// The results.
+        artifacts: Rc<Artifacts>,
+        /// Ticks from submission to the first start on a session.
+        wait_ticks: u64,
+        /// Session ticks summed over every attempt and slice.
+        run_ticks: u64,
+        /// Attempts consumed (1 = first try).
+        attempts: u32,
+        /// Session slot the final attempt ran on.
+        session: usize,
+    },
+    /// Served from the result cache (submit-time hit or coalesced onto a
+    /// completing duplicate).
+    Cached {
+        /// The results — bit-identical to a cold run.
+        artifacts: Rc<Artifacts>,
+        /// Ticks from submission to resolution.
+        wait_ticks: u64,
+    },
+    /// Stopped cooperatively.
+    Cancelled {
+        /// Deadline or client token.
+        reason: CancelReason,
+        /// Ticks from submission to the stop.
+        wait_ticks: u64,
+        /// Macro steps executed before the stop.
+        steps: u64,
+    },
+    /// Terminal failure (deterministic error, or retries exhausted).
+    Failed {
+        /// What went wrong.
+        reason: String,
+        /// Attempts consumed.
+        attempts: u32,
+    },
+}
+
+impl JobOutcome {
+    /// Short tag for outcome lines (`completed`, `cached`, ...).
+    pub fn tag(&self) -> &'static str {
+        match self {
+            JobOutcome::Completed { .. } => "completed",
+            JobOutcome::Cached { .. } => "cached",
+            JobOutcome::Cancelled {
+                reason: CancelReason::Deadline { .. },
+                ..
+            } => "cancelled-deadline",
+            JobOutcome::Cancelled { .. } => "cancelled-user",
+            JobOutcome::Failed { .. } => "failed",
+        }
+    }
+}
 
 /// Consistent-hash ring mapping job keys onto shards.
 ///
@@ -77,7 +217,7 @@ impl HashRing {
         for s in 0..shards {
             for r in 0..virtual_nodes {
                 let label = format!("shard:{s}:replica:{r}");
-                points.push((fnv1a64(FNV_OFFSET, label.as_bytes()), s));
+                points.push((fnv1a64(FNV1A_INIT, label.as_bytes()), s));
             }
         }
         points.sort_unstable();
@@ -101,11 +241,19 @@ impl HashRing {
     }
 }
 
+/// Ring points per shard.
+const VIRTUAL_NODES: usize = 64;
+/// Maximum retries after transient (panic) failures.
+const MAX_RETRIES: u32 = 2;
+/// Retry backoff base, ticks: retry `k` becomes ready
+/// `BACKOFF_TICKS << (k-1)` ticks after the failed attempt.
+const BACKOFF_TICKS: u64 = 4;
+
 /// Fleet tuning knobs.
 pub struct FleetConfig {
     /// Framework factory jobs assemble against.
     pub palette: PaletteFn,
-    /// Number of shards.
+    /// Number of shards (1 = a single session pool behind one queue).
     pub shards: usize,
     /// Session-pool size per shard (the initial elastic target).
     pub sessions_per_shard: usize,
@@ -113,12 +261,6 @@ pub struct FleetConfig {
     pub queue_capacity: usize,
     /// Result-cache capacity per shard.
     pub cache_capacity: usize,
-    /// Maximum retries after transient (panic) failures.
-    pub max_retries: u32,
-    /// Retry backoff base, ticks (`backoff_ticks << (k-1)` for retry k).
-    pub backoff_ticks: u64,
-    /// Ring points per shard.
-    pub virtual_nodes: usize,
     /// Enable deterministic work stealing between shards.
     pub steal: bool,
     /// Macro steps a sliceable job may run per attempt before the
@@ -141,9 +283,6 @@ impl Default for FleetConfig {
             sessions_per_shard: 2,
             queue_capacity: 16,
             cache_capacity: 64,
-            max_retries: 2,
-            backoff_ticks: 4,
-            virtual_nodes: 64,
             steal: true,
             slice_steps: 4,
             aging_ticks: 64,
@@ -154,12 +293,15 @@ impl Default for FleetConfig {
 }
 
 /// Per-job fleet context: routing home, the pristine job continuations
-/// are rebuilt from, and migration/latency accounting. Kept after
-/// resolution so tests can audit a job's whole path.
+/// are rebuilt from, and migration/latency accounting. Every queued
+/// primary has one; it is kept after resolution so tests can audit a
+/// job's whole path.
 struct JobCtx {
     /// Home shard (cache + coalescing site).
     home: usize,
-    /// The job exactly as submitted (continuation template).
+    /// Content hash the job is cached and coalesced under.
+    key: JobKey,
+    /// The job exactly as admitted (continuation template).
     base_job: SimJob,
     /// First tick any session started the job.
     first_start: Option<u64>,
@@ -176,6 +318,38 @@ struct JobCtx {
     /// Extra slice length granted after a no-progress preemption (the
     /// mid-snapshot drill can tear the only commit of a slice).
     extend_slice: u64,
+}
+
+impl JobCtx {
+    fn new(home: usize, key: JobKey, base_job: SimJob) -> Self {
+        JobCtx {
+            home,
+            key,
+            base_job,
+            first_start: None,
+            run_ticks: 0,
+            migrations: 0,
+            committed_steps: 0,
+            last_exec_shard: None,
+            stolen: 0,
+            extend_slice: 0,
+        }
+    }
+}
+
+/// Where one dispatch leaves its entry: the edges out of `Queued` and
+/// `Running` in the lifecycle above.
+enum Transition {
+    /// Terminal. `credit` is the shard whose counters the outcome lands
+    /// on; `tick` is when it lands (followers' waits end there).
+    Resolved {
+        outcome: JobOutcome,
+        credit: usize,
+        tick: u64,
+    },
+    /// Back to the home queue, updated in place: a retry waiting out its
+    /// backoff, or a preempted job's continuation.
+    Requeued,
 }
 
 /// One tenant's row in a [`FleetStats`] snapshot.
@@ -212,7 +386,7 @@ pub struct TenantRow {
 /// every wait/run/turnaround figure is recorded exactly once, at the
 /// job's terminal resolution, so retried and sliced jobs are never
 /// double-counted.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FleetStats {
     /// Current virtual time.
     pub clock: u64,
@@ -313,9 +487,10 @@ impl FleetStats {
             self.executor.poisonings
         ));
         for s in &self.shards {
+            let c = &s.cache_stats;
             out.push_str(&format!(
                 "shard {}: sessions {}/{} queue {} completed {} cached {} retries {} \
-                 steals in/out {}/{} cache hits {} misses {}\n",
+                 steals in/out {}/{} cache {}/{} (hits {}, misses {}, evictions {})\n",
                 s.id,
                 s.sessions,
                 s.target_sessions,
@@ -325,9 +500,18 @@ impl FleetStats {
                 s.retries,
                 s.steals_in,
                 s.steals_out,
-                s.cache_stats.hits,
-                s.cache_stats.misses
+                c.len,
+                c.capacity,
+                c.hits,
+                c.misses,
+                c.evictions
             ));
+            for slot in &s.slots {
+                out.push_str(&format!(
+                    "  session {}: epoch {} runs {} free_at {}\n",
+                    slot.id, slot.epoch, slot.runs, slot.free_at
+                ));
+            }
         }
         for t in &self.tenants {
             out.push_str(&format!(
@@ -392,7 +576,7 @@ impl Fleet {
         let probe = (cfg.palette)();
         let analyzer = Analyzer::new(&probe);
         let n = cfg.shards.max(1);
-        let ring = HashRing::new(n, cfg.virtual_nodes);
+        let ring = HashRing::new(n, VIRTUAL_NODES);
         let shards = (0..n)
             .map(|id| {
                 Shard::new(
@@ -473,6 +657,8 @@ impl Fleet {
     /// duplicate coalescing, deadline admission, then the home queue with
     /// backpressure. Rejected jobs never spend a session.
     pub fn submit(&mut self, job: SimJob) -> Result<JobId, SubmitError> {
+        // Vet the script (plus overrides) statically, so a doomed
+        // assembly never occupies a session.
         let admission_script = job.admission_script();
         let report = self.analyzer.analyze(&admission_script);
         if report.has_errors() {
@@ -495,6 +681,9 @@ impl Fleet {
             });
         }
 
+        // Distributed jobs: a deadlocking or mismatched communication
+        // plan would hang (or corrupt) a whole rank team, so it is
+        // refused here with the C-code report.
         if let Some(spec) = &job.distributed {
             let plan_report = spec.effective_plan().verify();
             if plan_report.has_errors() {
@@ -509,32 +698,25 @@ impl Fleet {
         let key = job.key();
         let home = self.ring.route(key);
         let id = self.next_id;
-        let token = CancelToken::new();
 
         // Home-shard result cache: identical completed work answers now.
         if let Some(artifacts) = self.shards[home].cache.get(key) {
-            self.next_id += 1;
-            self.submitted += 1;
-            self.cached += 1;
-            self.shards[home].cached += 1;
-            self.tenants[tenant].submitted += 1;
-            self.tenants[tenant].hits += 1;
-            self.outcomes.insert(
-                id,
-                JobOutcome::Cached {
-                    artifacts,
-                    wait_ticks: 0,
-                },
-            );
+            self.accept(tenant);
+            let hit = JobOutcome::Cached {
+                artifacts,
+                wait_ticks: 0,
+            };
+            self.resolve(id, job.tenant, home, hit);
             return Ok(id);
         }
 
-        // Coalesce onto a queued identical primary at home.
+        // Coalesce onto a queued identical primary at home. A follower
+        // occupies no queue slot and is answered from the primary's
+        // result the moment it lands in the cache.
+        let token = CancelToken::new();
         if self.shards[home].queue.contains_key(key) {
-            self.next_id += 1;
-            self.submitted += 1;
+            self.accept(tenant);
             self.coalesced += 1;
-            self.tenants[tenant].submitted += 1;
             self.shards[home]
                 .followers
                 .entry(key)
@@ -596,35 +778,21 @@ impl Fleet {
         };
         match self.shards[home].queue.push(entry) {
             Ok(()) => {
-                self.next_id += 1;
+                self.accept(tenant);
                 self.next_seq += 1;
-                self.submitted += 1;
-                self.tenants[tenant].submitted += 1;
                 if degrade {
                     self.downgraded += 1;
                     self.tenants[tenant].downgraded += 1;
                     self.downgraded_ids.insert(id);
                 }
                 self.tokens.insert(id, token);
-                self.ctxs.insert(
-                    id,
-                    JobCtx {
-                        home,
-                        base_job,
-                        first_start: None,
-                        run_ticks: 0,
-                        migrations: 0,
-                        committed_steps: 0,
-                        last_exec_shard: None,
-                        stolen: 0,
-                        extend_slice: 0,
-                    },
-                );
+                self.ctxs.insert(id, JobCtx::new(home, key, base_job));
                 Ok(id)
             }
             Err(full) => {
                 self.rejected_full += 1;
                 self.tenants[tenant].rejected_full += 1;
+                // Hint: queued work spread over the pool, plus one tick.
                 let sessions = self.shards[home].sessions.len().max(1) as u64;
                 Err(SubmitError::QueueFull {
                     depth: full.depth,
@@ -634,9 +802,17 @@ impl Fleet {
         }
     }
 
-    /// Cancel an accepted submission (same contract as the single
-    /// server: queued primaries resolve immediately and a follower is
-    /// promoted; followers detach without touching the primary).
+    /// Count an accepted submission and consume its id.
+    fn accept(&mut self, tenant: usize) {
+        self.next_id += 1;
+        self.submitted += 1;
+        self.tenants[tenant].submitted += 1;
+    }
+
+    /// Cancel an accepted submission. Queued primaries resolve
+    /// immediately (a follower is promoted in their place); followers
+    /// detach without touching the primary. Returns `false` if the id is
+    /// unknown or already resolved.
     pub fn cancel(&mut self, id: JobId) -> bool {
         if self.outcomes.contains_key(&id) {
             return false;
@@ -647,30 +823,25 @@ impl Fleet {
         token.cancel();
         for s in 0..self.shards.len() {
             if let Some(entry) = self.shards[s].queue.remove_by_id(id) {
-                let wait = self.clock.saturating_sub(entry.submit_tick);
-                let tenant = entry.job.tenant;
-                self.resolve_cancelled(id, tenant, CancelReason::User, wait, 0);
-                let home = self.ctxs.get(&id).map(|c| c.home).unwrap_or(s);
-                self.promote_followers(home, entry.key);
+                let cancelled = self.cancelled_by_user(entry.submit_tick);
+                self.resolve_primary(id, cancelled, s, self.clock);
                 return true;
             }
         }
         for s in 0..self.shards.len() {
-            let keys: Vec<JobKey> = self.shards[s].followers.keys().copied().collect();
-            for key in keys {
-                let fs = self.shards[s]
-                    .followers
-                    .get_mut(&key)
-                    .expect("key just listed");
-                if let Some(pos) = fs.iter().position(|f| f.id == id) {
-                    let f = fs.remove(pos);
-                    if fs.is_empty() {
-                        self.shards[s].followers.remove(&key);
-                    }
-                    let wait = self.clock.saturating_sub(f.submit_tick);
-                    self.resolve_cancelled(id, f.tenant, CancelReason::User, wait, 0);
-                    return true;
+            let followers = &mut self.shards[s].followers;
+            let found = followers
+                .iter()
+                .find_map(|(key, fs)| Some((*key, fs.iter().position(|f| f.id == id)?)));
+            if let Some((key, pos)) = found {
+                let fs = followers.get_mut(&key).expect("key just found");
+                let f = fs.remove(pos);
+                if fs.is_empty() {
+                    followers.remove(&key);
                 }
+                let cancelled = self.cancelled_by_user(f.submit_tick);
+                self.resolve(id, f.tenant, s, cancelled);
+                return true;
             }
         }
         true
@@ -748,24 +919,7 @@ impl Fleet {
             run_ticks: LatencyStat::from_profiler(&merged, "fleet.run"),
             turnaround: LatencyStat::from_profiler(&merged, "fleet.turnaround"),
             executor,
-            shards: self
-                .shards
-                .iter()
-                .map(|s| ShardStat {
-                    id: s.id,
-                    sessions: s.sessions.len(),
-                    target_sessions: s.target_sessions,
-                    queue_depth: s.queue.depth() as u64,
-                    completed: s.completed,
-                    cached: s.cached,
-                    retries: s.retries,
-                    poisonings: s.poisonings,
-                    failed: s.failed,
-                    steals_in: s.steals_in,
-                    steals_out: s.steals_out,
-                    cache_stats: s.cache_stats(),
-                })
-                .collect(),
+            shards: self.shards.iter().map(Shard::stat).collect(),
             tenants: self
                 .tenants
                 .iter()
@@ -930,81 +1084,93 @@ impl Fleet {
         true
     }
 
-    /// Execute `entry` on shard `s` at the current tick (a session is
-    /// free by the caller's invariant) and resolve the outcome.
+    /// Take `entry` off shard `s`'s queue at the current tick (a session
+    /// is free by the caller's invariant) and follow exactly one
+    /// lifecycle edge: out of `Queued` without a session if one applies,
+    /// else through `Running`.
     fn dispatch_on(&mut self, s: usize, mut entry: Entry) {
         let id = entry.id;
-        let tenant = entry.job.tenant as usize;
-        let (home, prev_shard, prior_committed) = match self.ctxs.get(&id) {
-            Some(c) => (c.home, c.last_exec_shard, c.committed_steps),
-            None => (s, None, 0),
+        let mut ctx = self
+            .ctxs
+            .remove(&id)
+            .expect("every queued primary has a context");
+        let next = match self.leave_queue(s, &entry, &mut ctx) {
+            Some(edge) => edge,
+            None => self.run(s, &mut entry, &mut ctx),
         };
+        let home = ctx.home;
+        self.ctxs.insert(id, ctx);
+        match next {
+            Transition::Resolved {
+                outcome,
+                credit,
+                tick,
+            } => self.resolve_primary(id, outcome, credit, tick),
+            // Always the HOME queue (coalescing and cache stay
+            // effective), bypassing its capacity: accepted work is never
+            // dropped for lack of a slot. Stealing may carry the entry to
+            // any shard, which is exactly the migration path.
+            Transition::Requeued => self.shards[home].queue.push_internal(entry),
+        }
+    }
 
-        // Cancelled while queued: resolve without spending a session.
+    /// The edges out of `Queued` that spend no session time. `None`
+    /// means the entry starts running on shard `s`.
+    fn leave_queue(&mut self, s: usize, entry: &Entry, ctx: &mut JobCtx) -> Option<Transition> {
+        let tick = self.clock;
         if entry.token.is_cancelled() {
-            let wait = self.clock.saturating_sub(entry.submit_tick);
-            self.resolve_cancelled(id, entry.job.tenant, CancelReason::User, wait, 0);
-            self.promote_followers(home, entry.key);
-            return;
+            return Some(Transition::Resolved {
+                outcome: self.cancelled_by_user(entry.submit_tick),
+                credit: s,
+                tick,
+            });
         }
         // A duplicate's result may have landed at home since queueing.
-        if let Some(artifacts) = self.shards[home].cache.get(entry.key) {
-            self.cached += 1;
-            self.shards[home].cached += 1;
-            self.tenants[tenant].hits += 1;
-            self.tokens.remove(&id);
-            let wait = self.clock.saturating_sub(entry.submit_tick);
-            self.outcomes.insert(
-                id,
-                JobOutcome::Cached {
+        if let Some(artifacts) = self.shards[ctx.home].cache.get(entry.key) {
+            return Some(Transition::Resolved {
+                outcome: JobOutcome::Cached {
                     artifacts,
-                    wait_ticks: wait,
+                    wait_ticks: tick.saturating_sub(entry.submit_tick),
                 },
-            );
-            let clock = self.clock;
-            self.resolve_followers_cached(home, entry.key, clock);
-            return;
+                credit: ctx.home,
+                tick,
+            });
         }
-
         // A continuation landing on a different shard than its last slice
         // is a *migration*: the committed set travels as checkpoint bytes
         // under a sealed handoff ticket, verified before any session time
         // is spent on the restore.
-        if let (Some(prev), Some(bytes)) = (prev_shard, entry.job.restore.as_ref()) {
+        if let (Some(prev), Some(bytes)) = (ctx.last_exec_shard, entry.job.restore.as_ref()) {
             if prev != s {
-                let handoff = HandoffTicket::seal(prev, s, bytes).and_then(|t| t.verify(bytes));
-                if let Err(e) = handoff {
-                    self.failed += 1;
-                    self.shards[s].failed += 1;
-                    self.tenants[tenant].misses += 1;
-                    self.tokens.remove(&id);
-                    self.outcomes.insert(
-                        id,
-                        JobOutcome::Failed {
+                if let Err(e) = HandoffTicket::seal(prev, s, bytes).and_then(|t| t.verify(bytes)) {
+                    return Some(Transition::Resolved {
+                        outcome: JobOutcome::Failed {
                             reason: format!("migration handoff rejected: {e}"),
                             attempts: entry.attempts,
                         },
-                    );
-                    self.promote_followers(home, entry.key);
-                    return;
+                        credit: s,
+                        tick,
+                    });
                 }
                 self.migrations += 1;
-                if let Some(ctx) = self.ctxs.get_mut(&id) {
-                    ctx.migrations += 1;
-                }
+                ctx.migrations += 1;
             }
         }
+        None
+    }
 
+    /// `Running`: one attempt of `entry` on shard `s`'s earliest-free
+    /// session, charged `1 + steps` ticks, and the edge its outcome takes.
+    fn run(&mut self, s: usize, entry: &mut Entry, ctx: &mut JobCtx) -> Transition {
         // Slice decision: a sliceable job whose remaining work exceeds
         // the slice gets a preemption directive. The slice is clamped up
         // to the commit interval (every slice must commit at least once)
         // and extended after a no-progress yield (mid-snapshot drill).
-        let extend = self.ctxs.get(&id).map(|c| c.extend_slice).unwrap_or(0);
         let preempt = if entry.job.kind == WorkloadKind::ReactionDiffusion
             && entry.job.ckpt_interval > 0
             && self.cfg.slice_steps > 0
         {
-            let slice = self.cfg.slice_steps.max(entry.job.ckpt_interval) + extend;
+            let slice = self.cfg.slice_steps.max(entry.job.ckpt_interval) + ctx.extend_slice;
             let remaining = self.cfg.cost_model.predict(&entry.job).steps;
             (remaining > slice).then_some(PreemptSpec {
                 at_step: slice,
@@ -1018,7 +1184,7 @@ impl Fleet {
         let start = self.clock;
         let inject = entry.attempts < entry.job.fault.fail_attempts;
         let palette = self.cfg.palette.clone();
-        let (outcome, steps, exec) = self.shards[s].sessions[si].execute_sliced(
+        let (outcome, steps, exec) = self.shards[s].sessions[si].execute(
             &entry.job,
             entry.token.clone(),
             inject,
@@ -1030,61 +1196,47 @@ impl Fleet {
         let cost = 1 + steps;
         let finish = start + cost;
         self.shards[s].sessions[si].free_at = finish;
-        self.tenants[tenant].charge(cost);
-        if let Some(ctx) = self.ctxs.get_mut(&id) {
-            ctx.first_start.get_or_insert(start);
-            ctx.run_ticks += cost;
-            ctx.last_exec_shard = Some(s);
-        }
-        let wait = start.saturating_sub(entry.submit_tick);
+        self.tenants[entry.job.tenant as usize].charge(cost);
+        let first_start = *ctx.first_start.get_or_insert(start);
+        ctx.run_ticks += cost;
+        ctx.last_exec_shard = Some(s);
+        let prior_committed = ctx.committed_steps;
+        let resolved = |outcome| Transition::Resolved {
+            outcome,
+            credit: s,
+            tick: finish,
+        };
 
         match outcome {
-            RunOutcome::Done(artifacts) => {
+            RunOutcome::Done(mut artifacts) => {
                 // A final slice reports only its own steps; lift the
                 // count to the whole job so the sealed digest is
                 // bit-identical to an unsliced, unmigrated run.
-                let artifacts = if prior_committed > 0 {
-                    let mut a = artifacts;
-                    a.steps += prior_committed;
-                    a.seal()
-                } else {
-                    artifacts
-                };
-                let rc = Rc::new(artifacts);
-                self.shards[home].cache.insert(entry.key, rc.clone());
-                let (first_start, total_run) = self
-                    .ctxs
-                    .get(&id)
-                    .map(|c| (c.first_start.unwrap_or(start), c.run_ticks))
-                    .unwrap_or((start, cost));
-                let submit_tick = entry.submit_tick;
-                self.shards[s].profiler.record(
-                    "fleet.queue_wait",
-                    first_start.saturating_sub(submit_tick) as f64,
-                );
-                self.shards[s]
-                    .profiler
-                    .record("fleet.run", total_run as f64);
-                self.shards[s].profiler.record(
+                if prior_committed > 0 {
+                    artifacts.steps += prior_committed;
+                    artifacts = artifacts.seal();
+                }
+                let artifacts = Rc::new(artifacts);
+                self.shards[ctx.home]
+                    .cache
+                    .insert(entry.key, artifacts.clone());
+                // Recorded once, here, so retried and sliced jobs are
+                // never double-counted.
+                let wait_ticks = first_start.saturating_sub(entry.submit_tick);
+                let profiler = &self.shards[s].profiler;
+                profiler.record("fleet.queue_wait", wait_ticks as f64);
+                profiler.record("fleet.run", ctx.run_ticks as f64);
+                profiler.record(
                     "fleet.turnaround",
-                    finish.saturating_sub(submit_tick) as f64,
+                    finish.saturating_sub(entry.submit_tick) as f64,
                 );
-                self.completed += 1;
-                self.shards[s].completed += 1;
-                self.tenants[tenant].completed += 1;
-                self.tenants[tenant].misses += 1;
-                self.tokens.remove(&id);
-                self.outcomes.insert(
-                    id,
-                    JobOutcome::Completed {
-                        artifacts: rc,
-                        wait_ticks: first_start.saturating_sub(submit_tick),
-                        run_ticks: total_run,
-                        attempts: entry.attempts,
-                        session: si,
-                    },
-                );
-                self.resolve_followers_cached(home, entry.key, finish);
+                resolved(JobOutcome::Completed {
+                    artifacts,
+                    wait_ticks,
+                    run_ticks: ctx.run_ticks,
+                    attempts: entry.attempts,
+                    session: si,
+                })
             }
             RunOutcome::Preempted {
                 set,
@@ -1097,30 +1249,20 @@ impl Fleet {
                 // steps — the bounded-migration-cost invariant.
                 let (bytes, committed) = match set {
                     Some(b) => (Some(b), committed_steps),
-                    None => (entry.job.restore.clone(), prior_committed),
+                    None => (entry.job.restore.take(), prior_committed),
                 };
-                if let Some(ctx) = self.ctxs.get_mut(&id) {
-                    if committed <= prior_committed {
-                        // No forward progress persisted: grant the next
-                        // slice one extra interval so it can out-run the
-                        // torn commit.
-                        ctx.extend_slice += entry.job.ckpt_interval;
-                    } else {
-                        ctx.extend_slice = 0;
-                    }
-                    ctx.committed_steps = committed;
+                if committed <= prior_committed {
+                    // No forward progress persisted: grant the next
+                    // slice one extra interval so it can out-run the
+                    // torn commit.
+                    ctx.extend_slice += entry.job.ckpt_interval;
+                } else {
+                    ctx.extend_slice = 0;
                 }
-                let total = self
-                    .ctxs
-                    .get(&id)
-                    .map(|c| self.cfg.cost_model.predict(&c.base_job).steps)
-                    .unwrap_or(committed);
+                ctx.committed_steps = committed;
+                let total = self.cfg.cost_model.predict(&ctx.base_job).steps;
                 let remaining = total.saturating_sub(committed).max(1);
-                let mut cont = self
-                    .ctxs
-                    .get(&id)
-                    .map(|c| c.base_job.clone())
-                    .unwrap_or_else(|| entry.job.clone());
+                let mut cont = ctx.base_job.clone();
                 cont.overrides
                     .retain(|o| !(o.instance == "cfg" && o.key == "n_steps"));
                 cont.overrides
@@ -1128,127 +1270,119 @@ impl Fleet {
                 cont.restore = if committed > 0 { bytes } else { None };
                 entry.job = cont;
                 entry.ready_at = finish;
-                // Continuations re-enter the HOME queue (coalescing and
-                // cache stay effective); stealing may carry them to any
-                // shard, which is exactly the migration path.
-                self.shards[home].queue.push_internal(entry);
+                Transition::Requeued
             }
-            RunOutcome::Cancelled(reason) => {
-                self.resolve_cancelled(id, entry.job.tenant, reason, wait, prior_committed + steps);
-                self.promote_followers(home, entry.key);
-            }
-            RunOutcome::Failed(reason) => {
-                self.failed += 1;
-                self.shards[s].failed += 1;
-                self.tenants[tenant].misses += 1;
-                self.tokens.remove(&id);
-                self.outcomes.insert(
-                    id,
-                    JobOutcome::Failed {
-                        reason,
-                        attempts: entry.attempts,
-                    },
-                );
-                self.promote_followers(home, entry.key);
-            }
+            RunOutcome::Cancelled(reason) => resolved(JobOutcome::Cancelled {
+                reason,
+                wait_ticks: start.saturating_sub(entry.submit_tick),
+                steps: prior_committed + steps,
+            }),
+            RunOutcome::Failed(reason) => resolved(JobOutcome::Failed {
+                reason,
+                attempts: entry.attempts,
+            }),
             RunOutcome::Panicked(message) => {
                 self.poisonings += 1;
                 self.shards[s].poisonings += 1;
-                if entry.attempts <= self.cfg.max_retries {
+                if entry.attempts <= MAX_RETRIES {
                     self.retries += 1;
                     self.shards[s].retries += 1;
-                    entry.ready_at = finish + (self.cfg.backoff_ticks << (entry.attempts - 1));
-                    // Retry at home: accepted work is never dropped for
-                    // lack of a queue slot.
-                    self.shards[home].queue.push_internal(entry);
+                    entry.ready_at = finish + (BACKOFF_TICKS << (entry.attempts - 1));
+                    Transition::Requeued
                 } else {
-                    self.failed += 1;
-                    self.shards[s].failed += 1;
-                    self.tenants[tenant].misses += 1;
-                    self.tokens.remove(&id);
-                    self.outcomes.insert(
-                        id,
-                        JobOutcome::Failed {
-                            reason: format!(
-                                "panicked after {} attempts: {message}",
-                                entry.attempts
-                            ),
-                            attempts: entry.attempts,
-                        },
-                    );
-                    self.promote_followers(home, entry.key);
+                    resolved(JobOutcome::Failed {
+                        reason: format!("panicked after {} attempts: {message}", entry.attempts),
+                        attempts: entry.attempts,
+                    })
                 }
             }
         }
     }
 
-    fn resolve_cancelled(
-        &mut self,
-        id: JobId,
-        tenant: u32,
-        reason: CancelReason,
-        wait: u64,
-        steps: u64,
-    ) {
-        match reason {
-            CancelReason::Deadline { .. } => self.cancelled_deadline += 1,
-            CancelReason::User => self.cancelled_user += 1,
+    /// The outcome of a client cancellation that spent no session time.
+    fn cancelled_by_user(&self, submit_tick: u64) -> JobOutcome {
+        JobOutcome::Cancelled {
+            reason: CancelReason::User,
+            wait_ticks: self.clock.saturating_sub(submit_tick),
+            steps: 0,
         }
-        if let Some(t) = self.tenants.get_mut(tenant as usize) {
-            t.misses += 1;
-        }
-        self.tokens.remove(&id);
-        self.outcomes.insert(
-            id,
-            JobOutcome::Cancelled {
-                reason,
-                wait_ticks: wait,
-                steps,
-            },
-        );
     }
 
-    /// The primary for `key` completed: answer every follower at its
-    /// home shard from the cache, bit-identical to the primary's result.
-    fn resolve_followers_cached(&mut self, home: usize, key: JobKey, resolve_tick: u64) {
-        let Some(fs) = self.shards[home].followers.remove(&key) else {
-            return;
-        };
-        for f in fs {
-            let artifacts = self.shards[home]
-                .cache
-                .get(key)
-                .expect("primary result was just inserted");
-            self.cached += 1;
-            self.shards[home].cached += 1;
-            if let Some(t) = self.tenants.get_mut(f.tenant as usize) {
+    /// The one place a submission becomes terminal: count the outcome
+    /// (fleet-wide, on shard `credit`, on the tenant) and publish it.
+    fn resolve(&mut self, id: JobId, tenant: u32, credit: usize, outcome: JobOutcome) {
+        let shard = &mut self.shards[credit];
+        let t = &mut self.tenants[tenant as usize];
+        match &outcome {
+            JobOutcome::Completed { .. } => {
+                self.completed += 1;
+                shard.completed += 1;
+                t.completed += 1;
+                t.misses += 1;
+            }
+            JobOutcome::Cached { .. } => {
+                self.cached += 1;
+                shard.cached += 1;
                 t.hits += 1;
             }
-            self.tokens.remove(&f.id);
-            self.outcomes.insert(
-                f.id,
-                JobOutcome::Cached {
-                    artifacts,
-                    wait_ticks: resolve_tick.saturating_sub(f.submit_tick),
-                },
-            );
+            JobOutcome::Cancelled { reason, .. } => {
+                match reason {
+                    CancelReason::Deadline { .. } => self.cancelled_deadline += 1,
+                    CancelReason::User => self.cancelled_user += 1,
+                }
+                t.misses += 1;
+            }
+            JobOutcome::Failed { .. } => {
+                self.failed += 1;
+                shard.failed += 1;
+                t.misses += 1;
+            }
         }
+        self.tokens.remove(&id);
+        self.outcomes.insert(id, outcome);
     }
 
-    /// The primary for `key` is gone without a cacheable result: promote
-    /// the oldest live follower to primary with a fresh attempt budget.
-    fn promote_followers(&mut self, home: usize, key: JobKey) {
+    /// Terminal edge of a queued primary: resolve it, then settle the
+    /// duplicates riding it at home. An answered primary (completed or
+    /// cached) answers every follower from the home cache, bit-identical
+    /// and literally the same artifact object; a lost one promotes the
+    /// oldest live follower in its place.
+    fn resolve_primary(&mut self, id: JobId, outcome: JobOutcome, credit: usize, tick: u64) {
+        let ctx = &self.ctxs[&id];
+        let (home, key, tenant) = (ctx.home, ctx.key, ctx.base_job.tenant);
+        let answered = matches!(
+            outcome,
+            JobOutcome::Completed { .. } | JobOutcome::Cached { .. }
+        );
+        self.resolve(id, tenant, credit, outcome);
         let Some(mut fs) = self.shards[home].followers.remove(&key) else {
             return;
         };
+        if answered {
+            for f in fs {
+                let artifacts = self.shards[home]
+                    .cache
+                    .get(key)
+                    .expect("primary result is resident at home");
+                let hit = JobOutcome::Cached {
+                    artifacts,
+                    wait_ticks: tick.saturating_sub(f.submit_tick),
+                };
+                self.resolve(f.id, f.tenant, home, hit);
+            }
+            return;
+        }
         while !fs.is_empty() {
             let f = fs.remove(0);
             if f.token.is_cancelled() {
-                let wait = self.clock.saturating_sub(f.submit_tick);
-                self.resolve_cancelled(f.id, f.tenant, CancelReason::User, wait, 0);
+                let cancelled = self.cancelled_by_user(f.submit_tick);
+                self.resolve(f.id, f.tenant, home, cancelled);
                 continue;
             }
-            let base_job = f.job.clone();
+            // Promoted with a fresh attempt budget: duplicates never
+            // inherit a failure they didn't cause.
+            self.ctxs
+                .insert(f.id, JobCtx::new(home, key, f.job.clone()));
             let promoted = Entry {
                 id: f.id,
                 seq: self.next_seq,
@@ -1260,20 +1394,6 @@ impl Fleet {
                 token: f.token,
             };
             self.next_seq += 1;
-            self.ctxs.insert(
-                f.id,
-                JobCtx {
-                    home,
-                    base_job,
-                    first_start: None,
-                    run_ticks: 0,
-                    migrations: 0,
-                    committed_steps: 0,
-                    last_exec_shard: None,
-                    stolen: 0,
-                    extend_slice: 0,
-                },
-            );
             self.shards[home].queue.push_internal(promoted);
             if !fs.is_empty() {
                 self.shards[home].followers.insert(key, fs);

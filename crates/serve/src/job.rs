@@ -13,9 +13,10 @@
 use crate::cost::LatePolicy;
 use cca_analyze::commplan::CommPlan;
 use cca_apps::scaling::ScalingConfig;
+use cca_ckpt::{fnv1a64, FNV1A_INIT};
 use std::fmt;
 
-/// Unique per-submission identifier handed back by the server.
+/// Unique per-submission identifier handed back by the fleet.
 pub type JobId = u64;
 
 /// Which stepper drives the assembled application (the serve-side
@@ -262,20 +263,8 @@ impl fmt::Display for JobKey {
     }
 }
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Second-stream seed: golden-ratio offset, decorrelating the two hashes.
-const FNV_OFFSET_ALT: u64 = FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15;
-
-/// Plain FNV-1a over a byte stream (used for keys and artifact digests).
-pub(crate) fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+const FNV_OFFSET_ALT: u64 = FNV1A_INIT ^ 0x9e37_79b9_7f4a_7c15;
 
 impl JobKey {
     /// Compute the key from the identity-bearing parts of a job.
@@ -304,7 +293,7 @@ impl JobKey {
         }
         material.push(if want_checkpoint { '1' } else { '0' });
         JobKey {
-            hi: fnv1a64(FNV_OFFSET, material.as_bytes()),
+            hi: fnv1a64(FNV1A_INIT, material.as_bytes()),
             lo: fnv1a64(FNV_OFFSET_ALT, material.as_bytes()),
         }
     }

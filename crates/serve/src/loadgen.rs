@@ -1,24 +1,26 @@
-//! Deterministic load generator: N synthetic clients submitting a mixed
-//! 0D-ignition / reaction–diffusion job stream with a fixed duplicate
-//! ratio, in bursts that deliberately exceed the queue capacity so the
-//! backpressure path is exercised. Used by `tests/serve_loadgen.rs` to
-//! pin the no-lost-jobs and cache-hit guarantees, and by `cca-bench` to
-//! emit the drift-checked `BENCH_PR3.json` baseline.
+//! Deterministic load generators: synthetic clients submitting in bursts
+//! that deliberately exceed the queue capacity, so the backpressure path
+//! is exercised. Two request streams share one burst/defer/tally driver:
+//!
+//! * [`request_stream`] — a mixed 0D-ignition / reaction–diffusion
+//!   stream with a fixed duplicate ratio and injected faults, run on a
+//!   one-shard fleet by [`run_loadgen`] (`BENCH_PR3.json`);
+//! * [`fleet_request_stream`] — the multi-tenant mix [`run_fleet_loadgen`]
+//!   replays at any shard count (`BENCH_PR10.json`).
 //!
 //! Everything is a pure function of the seed: the request mix, the
-//! submission order, and (because the server runs on a virtual clock)
-//! every latency number in the report.
+//! submission order, and (because the fleet runs on a virtual clock)
+//! every latency number in the reports.
 
 use crate::cost::LatePolicy;
-use crate::fleet::{Fleet, FleetConfig, FleetStats};
-use crate::job::{fnv1a64, FaultSpec, JobId, SimJob, FNV_OFFSET};
-use crate::server::{JobOutcome, Server, ServerConfig, SubmitError};
-use crate::stats::ServerStats;
+use crate::fleet::{Fleet, FleetConfig, FleetStats, JobOutcome, SubmitError};
+use crate::job::{FaultSpec, JobId, SimJob};
+use crate::session::CancelReason;
 use crate::tenant::{QosClass, TenantSpec};
-use crate::workload::{serve_palette, IgnitionSpec, RdSpec};
+use crate::workload::{IgnitionSpec, RdSpec};
+use cca_ckpt::{fnv1a64, FNV1A_INIT};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 /// Loadgen shape. The defaults are the PR's pinned scenario: 200 jobs,
 /// 25% duplicates, 4 sessions, bursts of 32 against a 24-deep queue.
@@ -30,14 +32,14 @@ pub struct LoadgenConfig {
     pub duplicate_ratio: f64,
     /// PRNG seed — the entire scenario is a function of it.
     pub seed: u64,
-    /// Server session-pool size.
+    /// Session-pool size of the single shard.
     pub sessions: usize,
-    /// Server queue capacity.
+    /// Queue capacity.
     pub queue_capacity: usize,
     /// Requests submitted per burst (set above `queue_capacity` to force
     /// rejection events).
     pub burst: usize,
-    /// Server result-cache capacity.
+    /// Result-cache capacity.
     pub cache_capacity: usize,
 }
 
@@ -81,8 +83,8 @@ pub struct LoadgenReport {
     pub total_ticks: u64,
     /// `jobs * 1000 / total_ticks`.
     pub throughput_jobs_per_kilotick: f64,
-    /// Full server statistics snapshot at the end.
-    pub stats: ServerStats,
+    /// Full fleet statistics snapshot at the end (one shard).
+    pub stats: FleetStats,
     /// Accepted submission ids, in submission order.
     pub ids: Vec<JobId>,
 }
@@ -184,80 +186,133 @@ pub fn request_stream(cfg: &LoadgenConfig) -> Vec<SimJob> {
     requests
 }
 
-/// Run the scenario: submit in bursts, resubmit queue-full rejections in
-/// the next burst, drain between bursts, and summarize.
-pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
-    let mut server = Server::new(ServerConfig {
-        palette: Rc::new(serve_palette),
-        sessions: cfg.sessions,
-        queue_capacity: cfg.queue_capacity,
-        cache_capacity: cfg.cache_capacity,
-        ..ServerConfig::default()
-    });
+/// What [`drive`] observed, per request and in total.
+#[derive(Default)]
+struct Tally {
+    completed: u64,
+    cached: u64,
+    cancelled_deadline: u64,
+    cancelled_user: u64,
+    failed: u64,
+    rejected_deadline: u64,
+    rejection_events: u64,
+    lost: u64,
+    /// FNV-1a fold, in original request order, of every request's
+    /// checksum material: the artifact digest if completed or
+    /// cache-answered (bit-identical either way), else a stable tag.
+    outcome_checksum: u64,
+    /// Accepted submission ids, in submission order.
+    ids: Vec<JobId>,
+    stats: FleetStats,
+}
 
-    let requests = request_stream(cfg);
-    let duplicate_requests = (cfg.jobs as f64 * cfg.duplicate_ratio).round() as u64;
-    let mut pending: VecDeque<SimJob> = requests.into();
-    let mut ids = Vec::with_capacity(cfg.jobs);
-    let mut rejection_events = 0u64;
+/// The shared client loop: submit `requests` in bursts (carrying the
+/// original request index through deferrals), resubmit queue-full
+/// rejections at the head of the next burst, drain between bursts, then
+/// tally every request's outcome.
+fn drive(mut fleet: Fleet, requests: Vec<SimJob>, burst: usize) -> Tally {
+    let n = requests.len();
+    let mut pending: VecDeque<(usize, SimJob)> = requests.into_iter().enumerate().collect();
+    // Checksum material per original request index.
+    let mut resolved: Vec<String> = vec!["lost".to_string(); n];
+    let mut accepted: Vec<(usize, JobId)> = Vec::with_capacity(n);
+    let mut t = Tally {
+        outcome_checksum: FNV1A_INIT,
+        ..Tally::default()
+    };
 
     while !pending.is_empty() {
-        let mut deferred: Vec<SimJob> = Vec::new();
-        for _ in 0..cfg.burst.max(1) {
-            let Some(job) = pending.pop_front() else {
+        let mut deferred: Vec<(usize, SimJob)> = Vec::new();
+        for _ in 0..burst.max(1) {
+            let Some((req, job)) = pending.pop_front() else {
                 break;
             };
-            match server.submit(job.clone()) {
-                Ok(id) => ids.push(id),
+            match fleet.submit(job.clone()) {
+                Ok(id) => accepted.push((req, id)),
                 Err(SubmitError::QueueFull { .. }) => {
-                    rejection_events += 1;
-                    deferred.push(job);
+                    t.rejection_events += 1;
+                    deferred.push((req, job));
+                }
+                Err(SubmitError::Deadline { .. }) => {
+                    t.rejected_deadline += 1;
+                    resolved[req] = "rejected-deadline".to_string();
                 }
                 Err(e) => {
-                    unreachable!("loadgen scripts are admission-clean and deadline-free: {e}")
+                    unreachable!("loadgen scripts are admission-clean: {e}")
                 }
             }
         }
-        server.run_until_idle();
-        for job in deferred.into_iter().rev() {
-            pending.push_front(job);
+        fleet.run_until_idle();
+        for item in deferred.into_iter().rev() {
+            pending.push_front(item);
         }
     }
 
-    let mut completed = 0u64;
-    let mut cached = 0u64;
-    let mut cancelled_deadline = 0u64;
-    let mut cancelled_user = 0u64;
-    let mut failed = 0u64;
-    for id in &ids {
-        match server.outcome(*id) {
-            Some(JobOutcome::Completed { .. }) => completed += 1,
-            Some(JobOutcome::Cached { .. }) => cached += 1,
-            Some(JobOutcome::Cancelled { reason, .. }) => match reason {
-                crate::session::CancelReason::Deadline { .. } => cancelled_deadline += 1,
-                crate::session::CancelReason::User => cancelled_user += 1,
-            },
-            Some(JobOutcome::Failed { .. }) => failed += 1,
-            None => {} // counted as lost by the caller's invariant check
-        }
+    for (req, id) in &accepted {
+        resolved[*req] = match fleet.outcome(*id) {
+            Some(JobOutcome::Completed { artifacts, .. }) => {
+                t.completed += 1;
+                artifacts.transcript_digest.clone()
+            }
+            Some(JobOutcome::Cached { artifacts, .. }) => {
+                t.cached += 1;
+                artifacts.transcript_digest.clone()
+            }
+            Some(JobOutcome::Cancelled { reason, .. }) => {
+                match reason {
+                    CancelReason::Deadline { .. } => t.cancelled_deadline += 1,
+                    CancelReason::User => t.cancelled_user += 1,
+                }
+                "cancelled".to_string()
+            }
+            Some(JobOutcome::Failed { .. }) => {
+                t.failed += 1;
+                "failed".to_string()
+            }
+            None => {
+                t.lost += 1;
+                continue;
+            }
+        };
     }
 
-    let stats = server.stats();
-    let total_ticks = stats.clock.max(1);
+    // Schedule-independent by construction: which of completed/cached a
+    // duplicate lands on depends on timing, so both fold only the digest.
+    for material in &resolved {
+        t.outcome_checksum = fnv1a64(t.outcome_checksum, material.as_bytes());
+    }
+    t.ids = accepted.into_iter().map(|(_, id)| id).collect();
+    t.stats = fleet.stats();
+    t
+}
+
+/// Run the scenario on a one-shard fleet: submit in bursts, resubmit
+/// queue-full rejections in the next burst, drain between bursts, and
+/// summarize.
+pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
+    let fleet = Fleet::new(FleetConfig {
+        shards: 1,
+        sessions_per_shard: cfg.sessions,
+        queue_capacity: cfg.queue_capacity,
+        cache_capacity: cfg.cache_capacity,
+        ..FleetConfig::default()
+    });
+    let t = drive(fleet, request_stream(cfg), cfg.burst);
+    let total_ticks = t.stats.clock.max(1);
     LoadgenReport {
         config: *cfg,
-        completed,
-        cached,
-        cancelled_deadline,
-        cancelled_user,
-        failed,
-        rejection_events,
-        duplicate_requests,
-        cache_hit_ratio: cached as f64 / cfg.jobs.max(1) as f64,
+        completed: t.completed,
+        cached: t.cached,
+        cancelled_deadline: t.cancelled_deadline,
+        cancelled_user: t.cancelled_user,
+        failed: t.failed,
+        rejection_events: t.rejection_events,
+        duplicate_requests: (cfg.jobs as f64 * cfg.duplicate_ratio).round() as u64,
+        cache_hit_ratio: t.cached as f64 / cfg.jobs.max(1) as f64,
         total_ticks,
         throughput_jobs_per_kilotick: cfg.jobs as f64 * 1000.0 / total_ticks as f64,
-        stats,
-        ids,
+        stats: t.stats,
+        ids: t.ids,
     }
 }
 
@@ -439,11 +494,10 @@ pub struct FleetLoadgenReport {
     pub stats: FleetStats,
 }
 
-/// Run the fleet scenario: submit in bursts (carrying the original
-/// request index through deferrals), drain between bursts, fold the
-/// request-order outcome checksum, and summarize.
+/// Run the fleet scenario: submit in bursts, drain between bursts, fold
+/// the request-order outcome checksum, and summarize.
 pub fn run_fleet_loadgen(cfg: &FleetLoadgenConfig) -> FleetLoadgenReport {
-    let mut fleet = Fleet::new(FleetConfig {
+    let fleet = Fleet::new(FleetConfig {
         shards: cfg.shards,
         sessions_per_shard: cfg.sessions_per_shard,
         queue_capacity: cfg.queue_capacity,
@@ -452,118 +506,22 @@ pub fn run_fleet_loadgen(cfg: &FleetLoadgenConfig) -> FleetLoadgenReport {
         tenants: fleet_tenants(),
         ..FleetConfig::default()
     });
-
-    let requests = fleet_request_stream(cfg);
-    let n = requests.len();
-    let mut pending: VecDeque<(usize, SimJob)> = requests.into_iter().enumerate().collect();
-    // Outcome slot per original request index.
-    let mut resolved: Vec<Option<ReqOutcome>> = vec![None; n];
-    let mut ids: Vec<(usize, JobId)> = Vec::with_capacity(n);
-    let mut rejection_events = 0u64;
-    let mut rejected_deadline = 0u64;
-
-    while !pending.is_empty() {
-        let mut deferred: Vec<(usize, SimJob)> = Vec::new();
-        for _ in 0..cfg.burst.max(1) {
-            let Some((req, job)) = pending.pop_front() else {
-                break;
-            };
-            match fleet.submit(job.clone()) {
-                Ok(id) => ids.push((req, id)),
-                Err(SubmitError::QueueFull { .. }) => {
-                    rejection_events += 1;
-                    deferred.push((req, job));
-                }
-                Err(SubmitError::Deadline { .. }) => {
-                    rejected_deadline += 1;
-                    resolved[req] = Some(ReqOutcome::RejectedDeadline);
-                }
-                Err(e) => {
-                    unreachable!("fleet loadgen scripts are admission-clean: {e}")
-                }
-            }
-        }
-        fleet.run_until_idle();
-        for item in deferred.into_iter().rev() {
-            pending.push_front(item);
-        }
-    }
-
-    let mut completed = 0u64;
-    let mut cached = 0u64;
-    let mut cancelled_deadline = 0u64;
-    let mut failed = 0u64;
-    let mut lost = 0u64;
-    for (req, id) in &ids {
-        match fleet.outcome(*id) {
-            Some(JobOutcome::Completed { artifacts, .. }) => {
-                completed += 1;
-                resolved[*req] = Some(ReqOutcome::Artifact(artifacts.transcript_digest.clone()));
-            }
-            Some(JobOutcome::Cached { artifacts, .. }) => {
-                cached += 1;
-                resolved[*req] = Some(ReqOutcome::Artifact(artifacts.transcript_digest.clone()));
-            }
-            Some(JobOutcome::Cancelled { reason, .. }) => {
-                match reason {
-                    crate::session::CancelReason::Deadline { .. } => cancelled_deadline += 1,
-                    crate::session::CancelReason::User => {}
-                }
-                resolved[*req] = Some(ReqOutcome::Cancelled);
-            }
-            Some(JobOutcome::Failed { .. }) => {
-                failed += 1;
-                resolved[*req] = Some(ReqOutcome::Failed);
-            }
-            None => lost += 1,
-        }
-    }
-
-    // Request-order checksum: schedule-independent by construction —
-    // completed and cached results are bit-identical, and which of the
-    // two a duplicate lands on depends on timing, so both fold only the
-    // digest.
-    let mut checksum = FNV_OFFSET;
-    for slot in &resolved {
-        checksum = match slot {
-            Some(ReqOutcome::Artifact(digest)) => fnv1a64(checksum, digest.as_bytes()),
-            Some(ReqOutcome::Cancelled) => fnv1a64(checksum, b"cancelled"),
-            Some(ReqOutcome::Failed) => fnv1a64(checksum, b"failed"),
-            Some(ReqOutcome::RejectedDeadline) => fnv1a64(checksum, b"rejected-deadline"),
-            None => fnv1a64(checksum, b"lost"),
-        };
-    }
-
-    let stats = fleet.stats();
-    let total_ticks = stats.clock.max(1);
+    let t = drive(fleet, fleet_request_stream(cfg), cfg.burst);
+    let total_ticks = t.stats.clock.max(1);
     FleetLoadgenReport {
         config: *cfg,
-        completed,
-        cached,
-        cancelled_deadline,
-        failed,
-        rejected_deadline,
-        rejection_events,
-        lost,
+        completed: t.completed,
+        cached: t.cached,
+        cancelled_deadline: t.cancelled_deadline,
+        failed: t.failed,
+        rejected_deadline: t.rejected_deadline,
+        rejection_events: t.rejection_events,
+        lost: t.lost,
         total_ticks,
         throughput_jobs_per_kilotick: cfg.jobs as f64 * 1000.0 / total_ticks as f64,
-        outcome_checksum: checksum,
-        stats,
+        outcome_checksum: t.outcome_checksum,
+        stats: t.stats,
     }
-}
-
-/// One request's terminal state, reduced to checksum material.
-#[derive(Clone, Debug)]
-enum ReqOutcome {
-    /// Completed or cache-answered: the artifact digest (bit-identical
-    /// either way).
-    Artifact(String),
-    /// Cancelled (step budget — the loadgen never user-cancels).
-    Cancelled,
-    /// Terminal failure.
-    Failed,
-    /// Refused by deadline admission.
-    RejectedDeadline,
 }
 
 #[cfg(test)]

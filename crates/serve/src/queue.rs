@@ -1,5 +1,6 @@
-//! The bounded admission queue: FIFO within a priority class, with
-//! per-entry `ready_at` ticks so retried jobs back off without wall-clock
+//! The bounded admission queue: ordered by the caller's scheduling key
+//! (FIFO by sequence number as the last tiebreak), with per-entry
+//! `ready_at` ticks so retried jobs back off without wall-clock
 //! sleeps. Capacity is a hard bound — a full queue rejects with a
 //! retry-after hint rather than growing without limit (backpressure).
 
@@ -9,7 +10,7 @@ use crate::session::CancelToken;
 /// One queued submission.
 #[derive(Clone)]
 pub(crate) struct Entry {
-    /// Server-assigned submission id.
+    /// Fleet-assigned submission id.
     pub id: JobId,
     /// Monotone submission sequence — the FIFO tiebreaker.
     pub seq: u64,
@@ -63,29 +64,10 @@ impl JobQueue {
         Ok(())
     }
 
-    /// Earliest `ready_at` over all entries (`None` when empty) — the
-    /// tick the scheduler fast-forwards to when nothing is ready yet.
-    pub fn next_ready_at(&self) -> Option<u64> {
-        self.entries.iter().map(|e| e.ready_at).min()
-    }
-
     /// Remove and return the dispatchable entry at `clock`: among entries
-    /// with `ready_at <= clock`, the highest priority, then lowest
-    /// sequence number. Deterministic by construction.
-    pub fn pop_ready(&mut self, clock: u64) -> Option<Entry> {
-        let idx = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.ready_at <= clock)
-            .max_by_key(|(_, e)| (e.job.priority, std::cmp::Reverse(e.seq)))
-            .map(|(i, _)| i)?;
-        Some(self.entries.remove(idx))
-    }
-
-    /// Remove and return the ready entry (at `clock`) maximizing `key` —
-    /// the fleet's tenant-aware selection hook. The caller's key must be
-    /// a total order (include the sequence number) for determinism.
+    /// with `ready_at <= clock`, the one maximizing `key` (the fleet's
+    /// tenant-aware scheduling key). The caller's key must be a total
+    /// order (include the sequence number) for determinism.
     pub fn pop_ready_by<K: Ord>(&mut self, clock: u64, key: impl Fn(&Entry) -> K) -> Option<Entry> {
         let idx = self
             .entries
@@ -165,25 +147,30 @@ mod tests {
         }
     }
 
+    /// Plain priority-then-FIFO selection.
+    fn pop(q: &mut JobQueue, clock: u64) -> Option<Entry> {
+        q.pop_ready_by(clock, |e| (e.job.priority, std::cmp::Reverse(e.seq)))
+    }
+
     #[test]
     fn fifo_within_priority_and_priority_wins() {
         let mut q = JobQueue::new(8);
         q.push(entry(1, 1, 0, 0)).unwrap();
         q.push(entry(2, 2, 0, 0)).unwrap();
         q.push(entry(3, 3, 5, 0)).unwrap();
-        assert_eq!(q.pop_ready(0).unwrap().id, 3); // priority first
-        assert_eq!(q.pop_ready(0).unwrap().id, 1); // then FIFO
-        assert_eq!(q.pop_ready(0).unwrap().id, 2);
-        assert!(q.pop_ready(0).is_none());
+        assert_eq!(pop(&mut q, 0).unwrap().id, 3); // priority first
+        assert_eq!(pop(&mut q, 0).unwrap().id, 1); // then FIFO
+        assert_eq!(pop(&mut q, 0).unwrap().id, 2);
+        assert!(pop(&mut q, 0).is_none());
     }
 
     #[test]
     fn backoff_entries_wait_for_their_tick() {
         let mut q = JobQueue::new(8);
         q.push(entry(1, 1, 0, 10)).unwrap();
-        assert!(q.pop_ready(5).is_none());
-        assert_eq!(q.next_ready_at(), Some(10));
-        assert_eq!(q.pop_ready(10).unwrap().id, 1);
+        assert!(pop(&mut q, 5).is_none());
+        assert_eq!(q.next_ready_after(5), Some(10));
+        assert_eq!(pop(&mut q, 10).unwrap().id, 1);
     }
 
     #[test]
@@ -193,7 +180,7 @@ mod tests {
         q.push(entry(2, 2, 0, 0)).unwrap();
         let err = q.push(entry(3, 3, 0, 0)).unwrap_err();
         assert_eq!(err.depth, 2);
-        q.pop_ready(0).unwrap();
+        pop(&mut q, 0).unwrap();
         q.push(entry(3, 4, 0, 0)).unwrap();
     }
 }

@@ -20,11 +20,14 @@ use crate::cache::{CacheStats, ResultCache};
 use crate::job::{JobId, JobKey, SimJob};
 use crate::queue::JobQueue;
 use crate::session::{CancelToken, PaletteFn, Session};
+use crate::stats::SessionStat;
 use cca_core::{ExecutorStats, Profiler};
 use std::collections::BTreeMap;
 
-/// A duplicate submission riding a queued primary on this shard (same
-/// promotion contract as the single-server follower).
+/// A duplicate submission riding a queued primary on this shard. It
+/// holds its own copy of the job so it can be *promoted* to primary —
+/// with its own fresh attempt budget — if the primary is lost to
+/// cancellation or failure (duplicates never share a failure).
 pub(crate) struct Follower {
     pub id: JobId,
     pub tenant: u32,
@@ -137,8 +140,32 @@ impl Shard {
         }
     }
 
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+    /// This shard's row of the fleet snapshot.
+    pub fn stat(&self) -> ShardStat {
+        ShardStat {
+            id: self.id,
+            sessions: self.sessions.len(),
+            target_sessions: self.target_sessions,
+            queue_depth: self.queue.depth() as u64,
+            completed: self.completed,
+            cached: self.cached,
+            retries: self.retries,
+            poisonings: self.poisonings,
+            failed: self.failed,
+            steals_in: self.steals_in,
+            steals_out: self.steals_out,
+            cache_stats: self.cache.stats(),
+            slots: self
+                .sessions
+                .iter()
+                .map(|s| SessionStat {
+                    id: s.id,
+                    epoch: s.epoch,
+                    runs: s.runs,
+                    free_at: s.free_at,
+                })
+                .collect(),
+        }
     }
 }
 
@@ -169,4 +196,6 @@ pub struct ShardStat {
     pub steals_out: u64,
     /// Result-cache counters.
     pub cache_stats: CacheStats,
+    /// Per-slot session rows, in pool order (`sessions` of them).
+    pub slots: Vec<SessionStat>,
 }

@@ -396,8 +396,8 @@ fn begin_or_stop(ctl: &StepCtl, log: Option<(&CommitLog, u64)>) -> Result<(), St
 /// resumed leg runs *fewer* steps than the original submission, but it
 /// is still the same simulation.
 fn rd_config_hash(words: &[u64]) -> u64 {
-    use crate::job::fnv1a64;
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
+    use cca_ckpt::{fnv1a64, FNV1A_INIT};
+    let mut h = FNV1A_INIT;
     for word in words {
         h = fnv1a64(h, &word.to_le_bytes());
     }
@@ -579,7 +579,7 @@ mod tests {
         let palette = palette_fn();
         let mut s = Session::new(0, &palette);
         let job = IgnitionSpec::default().job();
-        let (outcome, steps, _) = s.execute(&job, CancelToken::new(), false, &palette);
+        let (outcome, steps, _) = s.execute(&job, CancelToken::new(), false, &palette, None);
         match outcome {
             crate::session::RunOutcome::Done(a) => {
                 assert_eq!(steps, 4);
@@ -602,7 +602,7 @@ mod tests {
         }
         .job();
         job.step_budget = Some(2);
-        let (outcome, steps, _) = s.execute(&job, CancelToken::new(), false, &palette);
+        let (outcome, steps, _) = s.execute(&job, CancelToken::new(), false, &palette, None);
         match outcome {
             crate::session::RunOutcome::Cancelled(reason) => {
                 assert_eq!(steps, 2);
@@ -618,7 +618,7 @@ mod tests {
         let mut s = Session::new(0, &palette);
         let mut job = RdSpec::default().job();
         job.want_checkpoint = true;
-        let (outcome, _, _) = s.execute(&job, CancelToken::new(), false, &palette);
+        let (outcome, _, _) = s.execute(&job, CancelToken::new(), false, &palette, None);
         match outcome {
             crate::session::RunOutcome::Done(a) => {
                 let bytes = a.checkpoint.expect("checkpoint requested");
@@ -629,7 +629,7 @@ mod tests {
     }
 
     fn run_done(s: &mut Session, job: &SimJob, palette: &crate::session::PaletteFn) -> Artifacts {
-        match s.execute(job, CancelToken::new(), false, palette).0 {
+        match s.execute(job, CancelToken::new(), false, palette, None).0 {
             crate::session::RunOutcome::Done(a) => a,
             other => panic!("expected completion, got {other:?}"),
         }
@@ -685,7 +685,7 @@ mod tests {
         let set = a1.checkpoint.expect("checkpoint requested");
         let failed = |job: &SimJob| -> String {
             let mut s = Session::new(9, &palette);
-            match s.execute(job, CancelToken::new(), false, &palette).0 {
+            match s.execute(job, CancelToken::new(), false, &palette, None).0 {
                 crate::session::RunOutcome::Failed(msg) => msg,
                 other => panic!("expected deterministic failure, got {other:?}"),
             }
@@ -724,11 +724,11 @@ mod tests {
             panic_at_step: 2,
             ..FaultSpec::default()
         };
-        let (outcome, _, _) = s.execute(&job, CancelToken::new(), true, &palette);
+        let (outcome, _, _) = s.execute(&job, CancelToken::new(), true, &palette, None);
         assert!(matches!(outcome, crate::session::RunOutcome::Panicked(_)));
         assert_eq!(s.epoch, 1, "poisoning must bump the epoch");
         // Attempt 2: fault no longer injected; the rebuilt slot completes.
-        let (outcome, _, _) = s.execute(&job, CancelToken::new(), false, &palette);
+        let (outcome, _, _) = s.execute(&job, CancelToken::new(), false, &palette, None);
         assert!(matches!(outcome, crate::session::RunOutcome::Done(_)));
         assert_eq!(s.runs, 2);
     }

@@ -1,13 +1,15 @@
-//! `cca_serve` — batch front-end for the simulation job server.
+//! `cca_serve` — batch front-end for the simulation serve fleet.
 //!
-//! Feeds a request stream to [`cca_serve::Server`] and prints one outcome
-//! line per request plus the server statistics table. Three modes:
+//! Feeds a request stream to a [`cca_serve::Fleet`] and prints one outcome
+//! line per request plus the fleet statistics table. Three modes, each
+//! on one shard unless `--fleet N` comes first:
 //!
 //! ```text
-//! cargo run --example cca_serve -- --demo          # built-in showcase stream
-//! cargo run --example cca_serve -- --loadgen [N]   # deterministic loadgen, N jobs
-//! cargo run --example cca_serve -- --fleet [N]     # multi-tenant fleet loadgen, N shards
-//! cargo run --example cca_serve -- requests.txt    # one request per line
+//! cargo run --example cca_serve -- --demo            # built-in showcase stream
+//! cargo run --example cca_serve -- requests.txt      # one request per line
+//! cargo run --example cca_serve -- --loadgen [JOBS]  # fault-injecting loadgen
+//! cargo run --example cca_serve -- --fleet 4 --demo  # the same stream on 4 shards
+//! cargo run --example cca_serve -- --fleet 2 --loadgen [JOBS]  # multi-tenant loadgen
 //! ```
 //!
 //! Request-file syntax (`#` starts a comment):
@@ -21,8 +23,8 @@
 //! so repeated invocations print byte-identical output.
 
 use cca_serve::{
-    run_fleet_loadgen, run_loadgen, FleetLoadgenConfig, IgnitionSpec, JobOutcome, LoadgenConfig,
-    RdSpec, Server, ServerConfig, SimJob, SubmitError,
+    run_fleet_loadgen, run_loadgen, Fleet, FleetConfig, FleetLoadgenConfig, IgnitionSpec,
+    JobOutcome, LoadgenConfig, RdSpec, SimJob, SubmitError,
 };
 use std::process::ExitCode;
 
@@ -104,9 +106,13 @@ fn demo_requests() -> Vec<String> {
     .collect()
 }
 
-/// Submit every request, drain the server, print outcome lines + stats.
-fn serve(requests: &[String]) -> ExitCode {
-    let mut server = Server::new(ServerConfig::default());
+/// Submit every request to a `shards`-shard fleet, drain it, print
+/// outcome lines + stats.
+fn serve(requests: &[String], shards: usize) -> ExitCode {
+    let mut server = Fleet::new(FleetConfig {
+        shards,
+        ..FleetConfig::default()
+    });
     let mut accepted = Vec::new();
     for (lineno, raw) in requests.iter().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -172,6 +178,8 @@ fn serve(requests: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The PR-3 stream (duplicates, injected faults, step budgets) on one
+/// shard.
 fn loadgen(jobs: Option<usize>) -> ExitCode {
     let mut cfg = LoadgenConfig::default();
     if let Some(n) = jobs {
@@ -203,10 +211,15 @@ fn loadgen(jobs: Option<usize>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn fleet(shards: Option<usize>) -> ExitCode {
-    let mut cfg = FleetLoadgenConfig::default();
-    if let Some(n) = shards {
-        cfg.shards = n;
+/// The multi-tenant stream (QoS bands, sliceable long jobs) on `shards`
+/// shards.
+fn fleet_loadgen(shards: usize, jobs: Option<usize>) -> ExitCode {
+    let mut cfg = FleetLoadgenConfig {
+        shards,
+        ..FleetLoadgenConfig::default()
+    };
+    if let Some(n) = jobs {
+        cfg.jobs = n;
     }
     let r = run_fleet_loadgen(&cfg);
     println!(
@@ -227,20 +240,35 @@ fn fleet(shards: Option<usize>) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    match args.get(1).map(String::as_str) {
-        Some("--demo") => serve(&demo_requests()),
-        Some("--loadgen") => loadgen(args.get(2).and_then(|s| s.parse().ok())),
-        Some("--fleet") => fleet(args.get(2).and_then(|s| s.parse().ok())),
-        Some(path) if !path.starts_with('-') => match std::fs::read_to_string(path) {
-            Ok(text) => serve(&text.lines().map(String::from).collect::<Vec<_>>()),
+    const USAGE: &str = "usage: cca_serve [--fleet N] (--demo | --loadgen [JOBS] | REQUEST_FILE)";
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    // `--fleet N` only sets the shard count of whichever mode follows.
+    let mut fleet = None;
+    if args.first().map(String::as_str) == Some("--fleet") {
+        match args.get(1).and_then(|s| s.parse::<usize>().ok()) {
+            Some(n) if n >= 1 => fleet = Some(n),
+            _ => {
+                eprintln!("{USAGE}");
+                return ExitCode::FAILURE;
+            }
+        }
+        args.drain(..2);
+    }
+    let jobs = args.get(1).and_then(|s| s.parse().ok());
+    let shards = fleet.unwrap_or(1);
+    match (args.first().map(String::as_str), fleet) {
+        (Some("--demo"), _) => serve(&demo_requests(), shards),
+        (Some("--loadgen"), None) => loadgen(jobs),
+        (Some("--loadgen"), Some(_)) => fleet_loadgen(shards, jobs),
+        (Some(path), _) if !path.starts_with('-') => match std::fs::read_to_string(path) {
+            Ok(text) => serve(&text.lines().map(String::from).collect::<Vec<_>>(), shards),
             Err(e) => {
                 eprintln!("cca_serve: cannot read {path}: {e}");
                 ExitCode::FAILURE
             }
         },
         _ => {
-            eprintln!("usage: cca_serve --demo | --loadgen [N] | --fleet [N] | REQUEST_FILE");
+            eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
     }

@@ -7,7 +7,15 @@
 use cca_analyze::commplan::OpKind;
 use cca_apps::scaling::ScalingConfig;
 use cca_apps::schedule::comm_plan;
-use cca_serve::{DistributedSpec, IgnitionSpec, Server, ServerConfig, SubmitError};
+use cca_serve::{DistributedSpec, Fleet, FleetConfig, IgnitionSpec, SubmitError};
+
+/// The single-pool deployment: one shard behind one queue.
+fn one_shard() -> Fleet {
+    Fleet::new(FleetConfig {
+        shards: 1,
+        ..FleetConfig::default()
+    })
+}
 
 fn scaling_cfg() -> ScalingConfig {
     ScalingConfig {
@@ -22,7 +30,7 @@ fn scaling_cfg() -> ScalingConfig {
 
 #[test]
 fn clean_distributed_job_is_admitted() {
-    let mut server = Server::new(ServerConfig::default());
+    let mut server = one_shard();
     let mut job = IgnitionSpec::default().job();
     job.distributed = Some(DistributedSpec {
         config: scaling_cfg(),
@@ -36,7 +44,7 @@ fn clean_distributed_job_is_admitted() {
 
 #[test]
 fn broken_plan_is_rejected_with_c_code_diagnostics() {
-    let mut server = Server::new(ServerConfig::default());
+    let mut server = one_shard();
 
     // Start from the real emitted schedule, then drop rank 2's first
     // posted receive — the classic hand-edited-exchange mistake.

@@ -3,8 +3,17 @@
 //! transcript digest, and the checkpoint byte stream — including after
 //! the serving session has been poisoned and rebuilt in between.
 
-use cca_serve::{Artifacts, FaultSpec, IgnitionSpec, JobOutcome, RdSpec, Server, ServerConfig};
+use cca_serve::{Artifacts, FaultSpec, Fleet, FleetConfig, IgnitionSpec, JobOutcome, RdSpec};
 use std::rc::Rc;
+
+/// The single-pool deployment: one shard of `sessions` slots.
+fn one_shard(sessions: usize) -> Fleet {
+    Fleet::new(FleetConfig {
+        shards: 1,
+        sessions_per_shard: sessions,
+        ..FleetConfig::default()
+    })
+}
 
 /// Norms as (name, raw f64 bits) — the strictest possible comparison.
 fn norm_bits(a: &Artifacts) -> Vec<(String, u64)> {
@@ -16,10 +25,7 @@ fn norm_bits(a: &Artifacts) -> Vec<(String, u64)> {
 
 #[test]
 fn cache_hit_is_bit_identical_even_after_a_poisoned_session() {
-    let mut server = Server::new(ServerConfig {
-        sessions: 1,
-        ..ServerConfig::default()
-    });
+    let mut server = one_shard(1);
 
     // Cold run of a reaction-diffusion job with a checkpoint artifact.
     let mut job = RdSpec {
@@ -62,7 +68,7 @@ fn cache_hit_is_bit_identical_even_after_a_poisoned_session() {
     let s = server.stats();
     assert!(s.poisonings >= 1, "the bomb must poison the session");
     assert_eq!(
-        s.sessions[0].epoch, s.poisonings,
+        s.shards[0].slots[0].epoch, s.poisonings,
         "each poisoning rebuilds the slot"
     );
 
@@ -81,9 +87,9 @@ fn cache_hit_is_bit_identical_even_after_a_poisoned_session() {
     assert_eq!(warm.checkpoint, cold.checkpoint);
     assert_eq!(warm.steps, cold.steps);
 
-    // A fresh server recomputing from scratch reproduces the exact same
+    // A fresh fleet recomputing from scratch reproduces the exact same
     // bits — the cache returns precisely what a cold run would.
-    let mut fresh = Server::new(ServerConfig::default());
+    let mut fresh = one_shard(2);
     let fresh_id = fresh.submit(job).expect("admission-clean job");
     fresh.run_until_idle();
     match fresh.outcome(fresh_id).expect("fresh run must resolve") {
@@ -98,10 +104,7 @@ fn cache_hit_is_bit_identical_even_after_a_poisoned_session() {
 
 #[test]
 fn coalesced_duplicates_share_the_primary_result() {
-    let mut server = Server::new(ServerConfig {
-        sessions: 1,
-        ..ServerConfig::default()
-    });
+    let mut server = one_shard(1);
     let job = IgnitionSpec {
         t0: 1050.0,
         ..IgnitionSpec::default()

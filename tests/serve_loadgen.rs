@@ -1,14 +1,24 @@
 //! Tier-2 pin of the serving subsystem's acceptance criteria (PR 3).
 //!
-//! The load generator is a pure function of its seed and the server runs
+//! The load generator is a pure function of its seed and the fleet runs
 //! on a virtual clock, so every number here is deterministic — the same
 //! counts `cca-bench serve` freezes into `BENCH_PR3.json`.
 
+use cca_serve::loadgen::request_stream;
 use cca_serve::{
     run_fleet_loadgen, run_loadgen, CancelReason, Fleet, FleetConfig, FleetLoadgenConfig,
-    IgnitionSpec, JobOutcome, LoadgenConfig, Override, QosClass, RdSpec, Server, ServerConfig,
-    SubmitError, TenantSpec,
+    IgnitionSpec, JobOutcome, LoadgenConfig, Override, QosClass, RdSpec, SimJob, SubmitError,
+    TenantSpec,
 };
+use std::collections::VecDeque;
+
+/// The single-pool deployment: one shard behind one queue.
+fn one_shard() -> Fleet {
+    Fleet::new(FleetConfig {
+        shards: 1,
+        ..FleetConfig::default()
+    })
+}
 
 #[test]
 fn loadgen_meets_the_pr_acceptance_criteria() {
@@ -48,12 +58,14 @@ fn loadgen_meets_the_pr_acceptance_criteria() {
     // Panic isolation: a panic poisons exactly one session, which is
     // rebuilt (epoch bump). Total epoch bumps == total poisonings, and the
     // pool kept serving afterwards.
-    let epoch_sum: u64 = s.sessions.iter().map(|x| x.epoch).sum();
+    let slots = &s.shards[0].slots;
+    assert_eq!(slots.len(), cfg.sessions);
+    let epoch_sum: u64 = slots.iter().map(|x| x.epoch).sum();
     assert_eq!(
         epoch_sum, s.poisonings,
         "each poisoning must rebuild exactly one session"
     );
-    assert!(s.sessions.iter().all(|x| x.runs > 0));
+    assert!(slots.iter().all(|x| x.runs > 0));
 
     // The exact deterministic scenario, pinned. If a scheduling or
     // workload change shifts these, BENCH_PR3.json must be regenerated in
@@ -67,7 +79,89 @@ fn loadgen_meets_the_pr_acceptance_criteria() {
     assert_eq!(s.retries, 7);
     assert_eq!(s.poisonings, 8);
     assert_eq!(s.coalesced, 9);
-    assert_eq!(report.total_ticks, 148);
+    assert_eq!(report.total_ticks, 147);
+    // Wait is submit → *first* start; run cost sums every attempt.
+    assert_eq!((s.queue_wait.count, s.queue_wait.max), (144, 25.0));
+    assert_eq!((s.run_ticks.count, s.run_ticks.max), (144, 7.0));
+}
+
+/// Per-request terminal outcome of the PR 3 *fault* stream (retries,
+/// poisonings, one hopeless job, step-budget deadlines) on a
+/// `shards × sessions` fleet, plus the fleet's final counters.
+fn fault_stream_outcomes(
+    shards: usize,
+    sessions: usize,
+    steal: bool,
+) -> (Vec<String>, cca_serve::FleetStats) {
+    let cfg = LoadgenConfig::default();
+    let mut fleet = Fleet::new(FleetConfig {
+        shards,
+        sessions_per_shard: sessions,
+        queue_capacity: cfg.queue_capacity,
+        cache_capacity: cfg.cache_capacity,
+        steal,
+        ..FleetConfig::default()
+    });
+    let mut pending: VecDeque<(usize, SimJob)> =
+        request_stream(&cfg).into_iter().enumerate().collect();
+    let mut ids = vec![None; cfg.jobs];
+    while !pending.is_empty() {
+        let mut deferred = Vec::new();
+        for _ in 0..cfg.burst {
+            let Some((req, job)) = pending.pop_front() else {
+                break;
+            };
+            match fleet.submit(job.clone()) {
+                Ok(id) => ids[req] = Some(id),
+                Err(SubmitError::QueueFull { .. }) => deferred.push((req, job)),
+                Err(e) => panic!("request {req} refused: {e}"),
+            }
+        }
+        fleet.run_until_idle();
+        for item in deferred.into_iter().rev() {
+            pending.push_front(item);
+        }
+    }
+    let outcomes =
+        ids.iter()
+            .map(|id| {
+                let id = id.expect("every request is eventually accepted");
+                match fleet.outcome(id).expect("every accepted request resolves") {
+                    JobOutcome::Completed { artifacts, .. }
+                    | JobOutcome::Cached { artifacts, .. } => artifacts.transcript_digest.clone(),
+                    other => other.tag().to_string(),
+                }
+            })
+            .collect();
+    (outcomes, fleet.stats())
+}
+
+#[test]
+fn fault_stream_outcomes_do_not_depend_on_sharding_or_stealing() {
+    // `fleet_request_stream` injects no faults, so retry, poisoning and
+    // terminal failure under sharding are only reachable from here.
+    let (reference, _) = fault_stream_outcomes(1, 4, true);
+    assert_eq!(reference.iter().filter(|o| *o == "failed").count(), 1);
+    assert_eq!(
+        reference
+            .iter()
+            .filter(|o| *o == "cancelled-deadline")
+            .count(),
+        5
+    );
+    for (shards, sessions, steal) in [(2, 2, true), (4, 1, true), (2, 2, false)] {
+        let (outcomes, s) = fault_stream_outcomes(shards, sessions, steal);
+        assert_eq!(
+            outcomes, reference,
+            "{shards}x{sessions} steal={steal} changed a request's outcome"
+        );
+        // The faults really fired on this layout too.
+        assert_eq!(s.retries, 7, "{shards}x{sessions} steal={steal}");
+        assert_eq!(s.poisonings, 8, "{shards}x{sessions} steal={steal}");
+        assert_eq!(s.failed, 1, "{shards}x{sessions} steal={steal}");
+        let shard_poisonings: u64 = s.shards.iter().map(|sh| sh.poisonings).sum();
+        assert_eq!(shard_poisonings, s.poisonings);
+    }
 }
 
 #[test]
@@ -200,7 +294,7 @@ fn step_budget_deadline_is_enforced_exactly() {
     // Budget B against a longer run: the job executes exactly B macro
     // steps and resolves Cancelled{Deadline{B}} — no wall clocks involved.
     for budget in [1u64, 2, 4] {
-        let mut server = Server::new(ServerConfig::default());
+        let mut server = one_shard();
         let mut job = RdSpec {
             nx: 8,
             n_steps: 6,
@@ -228,7 +322,7 @@ fn admission_rejects_doomed_jobs_before_any_session_time() {
     // An override targeting an unknown instance makes the vetted script
     // (assembly + synthetic `parameter` lines) fail the static admission
     // check — the job is refused without ever occupying a session.
-    let mut server = Server::new(ServerConfig::default());
+    let mut server = one_shard();
     let mut job = IgnitionSpec::default().job();
     job.overrides.push(Override::new("ghost", "T0", 1.0));
     match server.submit(job) {
@@ -240,12 +334,12 @@ fn admission_rejects_doomed_jobs_before_any_session_time() {
     let s = server.stats();
     assert_eq!(s.rejected_admission, 1);
     assert_eq!(s.submitted, 0);
-    assert!(s.sessions.iter().all(|x| x.runs == 0));
+    assert!(s.shards[0].slots.iter().all(|x| x.runs == 0));
 }
 
 #[test]
 fn queued_jobs_cancel_without_spending_a_session() {
-    let mut server = Server::new(ServerConfig::default());
+    let mut server = one_shard();
     let id = server
         .submit(RdSpec::default().job())
         .expect("admission-clean job");
@@ -260,5 +354,5 @@ fn queued_jobs_cancel_without_spending_a_session() {
     }
     let s = server.stats();
     assert_eq!(s.completed, 0);
-    assert!(s.sessions.iter().all(|x| x.runs == 0));
+    assert!(s.shards[0].slots.iter().all(|x| x.runs == 0));
 }
