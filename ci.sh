@@ -55,7 +55,6 @@ if [[ "${CI_BENCH:-0}" == "1" ]]; then
     "scaling:BENCH_PR5.json"
     "samr:BENCH_PR7.json"
     "ckpt:BENCH_PR8.json"
-    "kernels:BENCH_PR9.json"
     "fleet:BENCH_PR10.json"
   )
   for entry in "${BENCHES[@]}"; do

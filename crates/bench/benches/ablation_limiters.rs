@@ -3,11 +3,12 @@
 //! solution for each limiter, plus overshoot (a TVD violation detector).
 
 use cca_bench::banner;
-use cca_hydro_solver::muscl::{compute_rhs, fill_uniform, max_wave_speed};
+use cca_hydro_solver::muscl::{compute_rhs_cfg, fill_uniform, max_wave_speed};
 use cca_hydro_solver::riemann::{sample, GodunovFlux};
 use cca_hydro_solver::{cons_to_prim, prim_to_cons, Limiter, Prim, NVARS};
 use cca_mesh::boxes::IntBox;
 use cca_mesh::data::PatchData;
+use cca_mesh::KernelConfig;
 
 fn sod_run(limiter: Limiter, n: i64) -> (f64, f64) {
     let gamma = 1.4;
@@ -62,7 +63,16 @@ fn sod_run(limiter: Limiter, n: i64) -> (f64, f64) {
         let smax = max_wave_speed(&pd, gamma, dx, 1e30);
         let dt = (0.4 / smax).min(t_end - t);
         fill_ghosts(&mut pd);
-        compute_rhs(&pd, &mut rhs, dx, 1e30, gamma, &GodunovFlux, limiter);
+        compute_rhs_cfg(
+            &pd,
+            &mut rhs,
+            dx,
+            1e30,
+            gamma,
+            &GodunovFlux,
+            limiter,
+            KernelConfig::UNTILED,
+        );
         let interior = pd.interior;
         for (i, j) in interior.cells() {
             for var in 0..NVARS {
@@ -70,7 +80,16 @@ fn sod_run(limiter: Limiter, n: i64) -> (f64, f64) {
             }
         }
         fill_ghosts(&mut stage);
-        compute_rhs(&stage, &mut rhs2, dx, 1e30, gamma, &GodunovFlux, limiter);
+        compute_rhs_cfg(
+            &stage,
+            &mut rhs2,
+            dx,
+            1e30,
+            gamma,
+            &GodunovFlux,
+            limiter,
+            KernelConfig::UNTILED,
+        );
         for (i, j) in interior.cells() {
             for var in 0..NVARS {
                 let v = pd.get(var, i, j) + 0.5 * dt * (rhs.get(var, i, j) + rhs2.get(var, i, j));

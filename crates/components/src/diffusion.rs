@@ -96,35 +96,23 @@ impl DiffProps for KernelProps {
 }
 
 /// The 5-point diffusive RHS of one patch — the single copy of the
-/// stencil arithmetic behind both the port and the kernel face.
-/// Snapshots the process-wide [`KernelConfig`] once per call; see
-/// [`diffusion_rhs_cfg`] for the explicit-config form.
-fn diffusion_rhs<P: DiffProps>(
-    props: &P,
-    state: &PatchData,
-    rhs: &mut PatchData,
-    dx: f64,
-    dy: f64,
-) {
-    diffusion_rhs_cfg(props, state, rhs, dx, dy, KernelConfig::current());
-}
-
-/// Cache-tiled, band-fused diffusive RHS (DESIGN.md §13).
+/// stencil arithmetic behind both the port and the kernel face, swept in
+/// bands (DESIGN.md §13).
 ///
-/// The j-loop is blocked into bands of `cfg.band_rows` interior rows. The
-/// per-cell transport/thermo property tables (`λ`, `1/ρcp`, `1/ρ` per
-/// cell; `ρD` per species plane) are computed into pooled scratch sized
-/// for **one band plus its one-row stencil halo** and consumed by the
-/// stencil sweep immediately — the property and divergence stages are
-/// fused at band granularity, so no patch-sized intermediate field ever
-/// exists and the working set stays cache resident. Properties are pure
+/// The j-loop is blocked into bands of `cfg.band_rows` interior rows:
+/// production passes [`KernelConfig::UNTILED`], one band over the whole
+/// patch; the wall-clock probes and bit-identity tests also pass finite
+/// band heights. The per-cell transport/thermo property tables (`λ`,
+/// `1/ρcp`, `1/ρ` per cell; `ρD` per species plane) are computed into
+/// pooled scratch sized for **one band plus its one-row stencil halo**
+/// and consumed by the stencil sweep of that band. Properties are pure
 /// per-cell functions, so recomputing the band-halo rows gives the exact
-/// values a whole-patch table would, and with `cfg.fast_div` off every
-/// cell's arithmetic is the seed expression in the seed order: results
-/// are bit-identical at any tile size and pitch. `cfg.fast_div` replaces
-/// the two per-cell divisions by `dx²`/`dy²` with hoisted reciprocal
-/// multiplies (tolerance-gated, default off).
-fn diffusion_rhs_cfg<P: DiffProps>(
+/// values a whole-patch table does, and every cell's arithmetic is the
+/// seed expression in the seed order: results are bit-identical at any
+/// band height and pitch. The recomputation is also why banding does not
+/// pay: 2 extra property rows per 16-row band is +12.5 % of the dominant
+/// cost.
+fn diffusion_rhs<P: DiffProps>(
     props: &P,
     state: &PatchData,
     rhs: &mut PatchData,
@@ -161,8 +149,6 @@ fn diffusion_rhs_cfg<P: DiffProps>(
     let c0r = (ring.lo[0] - state.total_box().lo[0]) as usize;
     let c0i = c0r + 1;
     let r0 = (int.lo[0] - rhs.total_box().lo[0]) as usize;
-    let inv_dx2 = 1.0 / (dx * dx);
-    let inv_dy2 = 1.0 / (dy * dy);
 
     let mut j0 = int.lo[1];
     while j0 <= int.hi[1] {
@@ -216,11 +202,7 @@ fn diffusion_rhs_cfg<P: DiffProps>(
                 let t_cc = t_c[s];
                 let div_x = lam_e * (t_c[s + 1] - t_cc) - lam_w * (t_cc - t_c[s - 1]);
                 let div_y = lam_nn * (t_n[s] - t_cc) - lam_ss * (t_cc - t_s[s]);
-                let div_t = if cfg.fast_div {
-                    div_x * inv_dx2 + div_y * inv_dy2
-                } else {
-                    div_x / (dx * dx) + div_y / (dy * dy)
-                };
+                let div_t = div_x / (dx * dx) + div_y / (dy * dy);
                 out[r0 + ii] = ircp[p] * div_t;
             }
             // Species: (1/ρ) ∇·(ρD_i ∇Y_i) for the N-1 stored species.
@@ -242,11 +224,7 @@ fn diffusion_rhs_cfg<P: DiffProps>(
                     let y_cc = y_c[s];
                     let div_x = b_e * (y_c[s + 1] - y_cc) - b_w * (y_cc - y_c[s - 1]);
                     let div_y = b_nn * (y_n[s] - y_cc) - b_ss * (y_cc - y_s[s]);
-                    let div = if cfg.fast_div {
-                        div_x * inv_dx2 + div_y * inv_dy2
-                    } else {
-                        div_x / (dx * dx) + div_y / (dy * dy)
-                    };
+                    let div = div_x / (dx * dx) + div_y / (dy * dy);
                     out[r0 + ii] = irho[p] * div;
                 }
             }
@@ -255,8 +233,8 @@ fn diffusion_rhs_cfg<P: DiffProps>(
     }
 }
 
-/// Explicit-config entry point over kernel snapshots, for benches and
-/// tiling-correctness tests that must not mutate the process-wide knobs.
+/// The RHS over kernel snapshots: the entry point the worker-thread
+/// face, the wall-clock probes and the bit-identity tests all call.
 pub fn diffusion_rhs_with_kernels(
     chem: &Arc<dyn ChemistryKernel>,
     transport: &Arc<dyn TransportKernel>,
@@ -270,7 +248,7 @@ pub fn diffusion_rhs_with_kernels(
         chem: chem.clone(),
         transport: transport.clone(),
     };
-    diffusion_rhs_cfg(&props, state, rhs, dx, dy, cfg);
+    diffusion_rhs(&props, state, rhs, dx, dy, cfg);
 }
 
 /// Worker-thread face: chemistry + transport kernel snapshots and the
@@ -283,7 +261,7 @@ struct DiffusionKernel {
 impl PatchKernel for DiffusionKernel {
     fn eval(&self, state: &PatchData, rhs: &mut PatchData, dx: f64, dy: f64, _t: f64) {
         self.evals.fetch_add(1, Ordering::Relaxed);
-        diffusion_rhs(&self.props, state, rhs, dx, dy);
+        diffusion_rhs(&self.props, state, rhs, dx, dy, KernelConfig::UNTILED);
     }
 
     fn label(&self) -> &'static str {
@@ -329,6 +307,7 @@ impl PatchRhsPort for Inner {
             rhs,
             dx,
             dy,
+            KernelConfig::UNTILED,
         );
     }
 

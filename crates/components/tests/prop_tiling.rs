@@ -1,14 +1,15 @@
-//! Property tests of the PR-9 layout/tiling contract: for random box
-//! sizes × tile heights × pitch quanta, the cache-tiled diffusion RHS
-//! and Godunov flux sweeps reproduce the untiled dense-pitch reference
-//! bit-for-bit at 1, 2, and 4 executor workers (the kernels preserve
-//! per-cell summation order), while the reassociating fast-div mode is
-//! gated at 1e-12 relative per cell. Every run goes through an explicit
-//! [`KernelConfig`], never the process-wide knobs, so cases are free of
-//! cross-test interference.
+//! Property tests of the banded-sweep contract: for random box sizes ×
+//! band heights × pitch quanta, the banded diffusion RHS and Godunov
+//! flux sweeps reproduce the untiled dense-pitch reference bit-for-bit
+//! at 1, 2, and 4 executor workers (the kernels preserve per-cell
+//! summation order). A last test pins what production runs: the
+//! `DiffusionPhysics` `patch-rhs` port gives the bits of the kernel
+//! entry point at [`KernelConfig::UNTILED`].
 
-use cca_components::diffusion::diffusion_rhs_with_kernels;
-use cca_components::ports::{ChemistryKernel, ChemistrySourcePort, TransportKernel, TransportPort};
+use cca_components::diffusion::{diffusion_rhs_with_kernels, DiffusionPhysics};
+use cca_components::ports::{
+    ChemistryKernel, ChemistrySourcePort, PatchRhsPort, TransportKernel, TransportPort,
+};
 use cca_components::thermochem::ThermoChemistry;
 use cca_components::transport_comp::DrfmComponent;
 use cca_core::{Executor, Framework, Profiler};
@@ -29,20 +30,31 @@ const NPATCH: usize = 4;
 
 type Props = (Arc<dyn ChemistryKernel>, Arc<dyn TransportKernel>);
 
+/// The diffusion corner of the flame assembly: real chemistry and
+/// transport components wired into `DiffusionPhysics`.
+fn assembly() -> Framework {
+    let mut fw = Framework::new();
+    fw.register_class("ThermoChemistry", || Box::new(ThermoChemistry::full()));
+    fw.register_class("DRFMComponent", || Box::<DrfmComponent>::default());
+    fw.register_class("DiffusionPhysics", || Box::<DiffusionPhysics>::default());
+    cca_core::script::run_script(
+        &mut fw,
+        "instantiate ThermoChemistry chem\n\
+         instantiate DRFMComponent drfm\n\
+         instantiate DiffusionPhysics diffusion\n\
+         connect diffusion chemistry chem chemistry\n\
+         connect diffusion transport drfm transport\n",
+    )
+    .expect("assembly");
+    fw
+}
+
 /// Chemistry/transport kernel snapshots from the real components,
 /// assembled once for the whole test binary.
 fn props() -> Props {
     static CELL: OnceLock<Props> = OnceLock::new();
     CELL.get_or_init(|| {
-        let mut fw = Framework::new();
-        fw.register_class("ThermoChemistry", || Box::new(ThermoChemistry::full()));
-        fw.register_class("DRFMComponent", || Box::<DrfmComponent>::default());
-        cca_core::script::run_script(
-            &mut fw,
-            "instantiate ThermoChemistry chem\n\
-             instantiate DRFMComponent drfm\n",
-        )
-        .expect("assembly");
+        let fw = assembly();
         let chem: Rc<dyn ChemistrySourcePort> = fw
             .get_provides_port("chem", "chemistry")
             .expect("chemistry");
@@ -124,17 +136,6 @@ fn assert_bits_equal(got: &PatchData, want: &PatchData) -> Result<(), TestCaseEr
     Ok(())
 }
 
-fn assert_within_rel(got: &PatchData, want: &PatchData, tol: f64) -> Result<(), TestCaseError> {
-    for (i, j) in got.interior.cells() {
-        for v in 0..got.nvars {
-            let (x, y) = (want.get(v, i, j), got.get(v, i, j));
-            let rel = (x - y).abs() / x.abs().max(1.0);
-            prop_assert!(rel <= tol, "var {} at ({}, {}): {} vs {}", v, i, j, x, y);
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -159,10 +160,8 @@ proptest! {
             );
             want.push(rhs);
         }
-        for (fast_div, workers) in
-            [(false, 1usize), (false, 2), (false, 4), (true, 2)]
-        {
-            let cfg = KernelConfig { tile_rows: tile, fast_div };
+        let cfg = KernelConfig::tiled(tile);
+        for workers in [1usize, 2, 4] {
             let items: Vec<(PatchData, PatchData)> = boxes(nx, ny)
                 .iter()
                 .enumerate()
@@ -182,11 +181,7 @@ proptest! {
                 .into_result()
                 .expect("kernels do not panic");
             for ((_, rhs), want) in out.iter().zip(&want) {
-                if fast_div {
-                    assert_within_rel(rhs, want, 1e-12)?;
-                } else {
-                    assert_bits_equal(rhs, want)?;
-                }
+                assert_bits_equal(rhs, want)?;
             }
         }
     }
@@ -211,10 +206,8 @@ proptest! {
             );
             want.push(rhs);
         }
-        for (fast_div, workers) in
-            [(false, 1usize), (false, 2), (false, 4), (true, 2)]
-        {
-            let cfg = KernelConfig { tile_rows: tile, fast_div };
+        let cfg = KernelConfig::tiled(tile);
+        for workers in [1usize, 2, 4] {
             let items: Vec<(PatchData, PatchData)> = boxes(nx, ny)
                 .iter()
                 .enumerate()
@@ -235,12 +228,33 @@ proptest! {
                 .into_result()
                 .expect("kernels do not panic");
             for ((_, rhs), want) in out.iter().zip(&want) {
-                if fast_div {
-                    assert_within_rel(rhs, want, 1e-12)?;
-                } else {
-                    assert_bits_equal(rhs, want)?;
-                }
+                assert_bits_equal(rhs, want)?;
             }
         }
     }
+}
+
+#[test]
+fn patch_rhs_port_runs_the_untiled_kernel() {
+    let fw = assembly();
+    let port: Rc<dyn PatchRhsPort> = fw
+        .get_provides_port("diffusion", "patch-rhs")
+        .expect("patch-rhs");
+    let (chem, transport) = props();
+    let state = diffusion_patch(21, 19, 8, 5);
+    let (dx, dy) = (0.01, 0.012);
+    let mut want = PatchData::new(state.interior, NSPEC, 0);
+    diffusion_rhs_with_kernels(
+        &chem,
+        &transport,
+        &state,
+        &mut want,
+        dx,
+        dy,
+        KernelConfig::UNTILED,
+    );
+    let mut got = PatchData::new(state.interior, NSPEC, 0);
+    port.eval_patch(&state, &mut got, dx, dy, 0.0);
+    assert_bits_equal(&got, &want).expect("port output equals the untiled kernel");
+    assert_eq!(port.evals(), 1);
 }

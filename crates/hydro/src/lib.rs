@@ -30,6 +30,6 @@ pub mod state;
 
 pub use efm::EfmFlux;
 pub use limiter::Limiter;
-pub use muscl::{compute_rhs, max_wave_speed, FluxScheme};
+pub use muscl::{max_wave_speed, FluxScheme};
 pub use riemann::GodunovFlux;
 pub use state::{cons_to_prim, prim_to_cons, Prim, NVARS};

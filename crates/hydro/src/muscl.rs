@@ -98,43 +98,19 @@ pub fn interface_states(
 
 /// Accumulate `−∇·F` for every interior cell of `pd` into `rhs` (same
 /// interior box, zero ghosts needed). `pd` must have ≥ 2 filled ghost
-/// layers. `dx`/`dy` are this level's cell sizes. Snapshots the
-/// process-wide [`KernelConfig`] once; see [`compute_rhs_cfg`].
-#[allow(clippy::too_many_arguments)]
-pub fn compute_rhs(
-    pd: &PatchData,
-    rhs: &mut PatchData,
-    dx: f64,
-    dy: f64,
-    gamma: f64,
-    scheme: &dyn FluxScheme,
-    limiter: Limiter,
-) {
-    compute_rhs_cfg(
-        pd,
-        rhs,
-        dx,
-        dy,
-        gamma,
-        scheme,
-        limiter,
-        KernelConfig::current(),
-    );
-}
-
-/// Cache-tiled MUSCL sweep with an explicit config (DESIGN.md §13).
+/// layers. `dx`/`dy` are this level's cell sizes. The one MUSCL sweep
+/// (DESIGN.md §13).
 ///
-/// The j-loop is blocked into bands of `cfg.band_rows` rows; within a
-/// band the x-interface sweep runs first, then the y-interface sweep for
-/// the interfaces *below* each cell row (the final `hi+1` interface rides
+/// The j-loop is blocked into bands of `cfg.band_rows` rows
+/// ([`KernelConfig::UNTILED`] is one band); within a band the
+/// x-interface sweep runs first, then the y-interface sweep for the
+/// interfaces *below* each cell row (the final `hi+1` interface rides
 /// with the last band). Every cell still receives its four flux
 /// contributions in the seed order — `+fᵢ/dx, −fᵢ₊₁/dx, +gⱼ/dy, −gⱼ₊₁/dy`
-/// — so results are bit-identical at any tile size and pitch. Interface
+/// — so results are bit-identical at any band height and pitch. Interface
 /// fluxes of one row are staged in pooled scratch and applied per
 /// variable over dense row slices (bounds hoisted, no per-cell
-/// `contains` branches). `cfg.fast_div` multiplies by hoisted `1/dx`,
-/// `1/dy` reciprocals instead of dividing per contribution
-/// (tolerance-gated, default off).
+/// `contains` branches).
 #[allow(clippy::too_many_arguments)]
 pub fn compute_rhs_cfg(
     pd: &PatchData,
@@ -157,8 +133,6 @@ pub fn compute_rhs_cfg(
     // Column offsets of the interior inside stored rows of pd / rhs.
     let c0 = (interior.lo[0] - pd.total_box().lo[0]) as usize;
     let r0 = (interior.lo[0] - rhs.total_box().lo[0]) as usize;
-    let inv_dx = 1.0 / dx;
-    let inv_dy = 1.0 / dy;
     // One row of staged interface fluxes, AoS per interface.
     let mut fx = scratch::take_f64((nxi + 1) * NVARS);
     let mut fy = scratch::take_f64(nxi * NVARS);
@@ -186,11 +160,7 @@ pub fn compute_rhs_cfg(
                 for (ii, o) in out.iter_mut().enumerate() {
                     let fl = fx[ii * NVARS + var];
                     let fr = fx[(ii + 1) * NVARS + var];
-                    if cfg.fast_div {
-                        *o = (*o + fl * inv_dx) - fr * inv_dx;
-                    } else {
-                        *o = (*o + fl / dx) - fr / dx;
-                    }
+                    *o = (*o + fl / dx) - fr / dx;
                 }
             }
         }
@@ -218,15 +188,13 @@ pub fn compute_rhs_cfg(
                 if j > interior.lo[1] {
                     let out = &mut rhs.row_mut(var, j - 1)[r0..r0 + nxi];
                     for (ii, o) in out.iter_mut().enumerate() {
-                        let g = fy[ii * NVARS + var];
-                        *o -= if cfg.fast_div { g * inv_dy } else { g / dy };
+                        *o -= fy[ii * NVARS + var] / dy;
                     }
                 }
                 if j <= interior.hi[1] {
                     let out = &mut rhs.row_mut(var, j)[r0..r0 + nxi];
                     for (ii, o) in out.iter_mut().enumerate() {
-                        let g = fy[ii * NVARS + var];
-                        *o += if cfg.fast_div { g * inv_dy } else { g / dy };
+                        *o += fy[ii * NVARS + var] / dy;
                     }
                 }
             }
@@ -288,7 +256,16 @@ mod tests {
         let pd = uniform_patch(&w);
         let mut rhs = PatchData::new(pd.interior, NVARS, 0);
         for scheme in [&GodunovFlux as &dyn FluxScheme, &EfmFlux] {
-            compute_rhs(&pd, &mut rhs, 0.1, 0.1, 1.4, scheme, Limiter::VanLeer);
+            compute_rhs_cfg(
+                &pd,
+                &mut rhs,
+                0.1,
+                0.1,
+                1.4,
+                scheme,
+                Limiter::VanLeer,
+                KernelConfig::UNTILED,
+            );
             for var in 0..NVARS {
                 assert!(
                     rhs.interior_max_abs(var) < 1e-8,
@@ -322,7 +299,7 @@ mod tests {
             }
         }
         let mut rhs = PatchData::new(pd.interior, NVARS, 0);
-        compute_rhs(
+        compute_rhs_cfg(
             &pd,
             &mut rhs,
             0.1,
@@ -330,6 +307,7 @@ mod tests {
             gamma,
             &GodunovFlux,
             Limiter::MinMod,
+            KernelConfig::UNTILED,
         );
         // Mass: interior sum of RHS = (F_left_boundary - F_right)/dx summed
         // over rows — nonzero in general but finite; here just require
@@ -389,7 +367,7 @@ mod tests {
             let dt = (0.4 / smax).min(t_end - t);
             // Heun: stage 1.
             fill_edge_ghosts_1d(&mut pd);
-            compute_rhs(
+            compute_rhs_cfg(
                 &pd,
                 &mut rhs,
                 dx,
@@ -397,6 +375,7 @@ mod tests {
                 gamma,
                 &GodunovFlux,
                 Limiter::MinMod,
+                KernelConfig::UNTILED,
             );
             for (i, j) in pd.interior.cells() {
                 for var in 0..NVARS {
@@ -405,7 +384,7 @@ mod tests {
             }
             fill_edge_ghosts_1d(&mut stage);
             let mut rhs2 = PatchData::new(pd.interior, NVARS, 0);
-            compute_rhs(
+            compute_rhs_cfg(
                 &stage,
                 &mut rhs2,
                 dx,
@@ -413,6 +392,7 @@ mod tests {
                 gamma,
                 &GodunovFlux,
                 Limiter::MinMod,
+                KernelConfig::UNTILED,
             );
             let interior = pd.interior;
             for (i, j) in interior.cells() {
@@ -476,7 +456,7 @@ mod tests {
             }
         }
         let mut rhs = PatchData::new(pd.interior, NVARS, 0);
-        compute_rhs(
+        compute_rhs_cfg(
             &pd,
             &mut rhs,
             0.1,
@@ -484,6 +464,7 @@ mod tests {
             gamma,
             &GodunovFlux,
             Limiter::VanLeer,
+            KernelConfig::UNTILED,
         );
         // Mirror symmetry: rho-RHS at (i,j) equals (n-1-i, j) and (i, n-1-j).
         for (i, j) in pd.interior.cells() {
@@ -555,44 +536,6 @@ mod tests {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn fast_div_sweep_is_tolerance_gated() {
-        let pd = wavy_patch(17, 11, 8);
-        let mut want = PatchData::new(pd.interior, NVARS, 0);
-        compute_rhs_cfg(
-            &pd,
-            &mut want,
-            0.05,
-            0.08,
-            1.4,
-            &GodunovFlux,
-            Limiter::MinMod,
-            KernelConfig::UNTILED,
-        );
-        let mut got = PatchData::new(pd.interior, NVARS, 0);
-        let cfg = KernelConfig {
-            tile_rows: 4,
-            fast_div: true,
-        };
-        compute_rhs_cfg(
-            &pd,
-            &mut got,
-            0.05,
-            0.08,
-            1.4,
-            &GodunovFlux,
-            Limiter::MinMod,
-            cfg,
-        );
-        for (i, j) in pd.interior.cells() {
-            for var in 0..NVARS {
-                let (a, b) = (want.get(var, i, j), got.get(var, i, j));
-                let rel = (a - b).abs() / a.abs().max(1.0);
-                assert!(rel <= 1e-12, "var {var} at ({i},{j}): {a} vs {b}");
             }
         }
     }

@@ -41,6 +41,9 @@ const RECORD_OVERHEAD: usize = 8 + 8 + 8 + 32 + 8;
 /// reported as corruption instead of attempted as an allocation.
 const RECORD_MAX: usize = 1 << 32;
 
+/// Upper bound accepted for a level count read from a stream.
+const MAX_LEVELS: usize = 64;
+
 /// Checkpoint errors.
 #[derive(Debug)]
 pub enum CheckpointError {
@@ -141,6 +144,31 @@ fn get_box(r: &mut impl Read) -> Result<IntBox, CheckpointError> {
         )));
     }
     Ok(IntBox::new(lo, hi))
+}
+
+/// Byte size of a patch's field data (all vars, interior + ghosts) whose
+/// geometry came from a stream, or `None` when it overflows.
+fn checked_data_len(interior: &IntBox, nvars: usize, nghost: i64) -> Option<usize> {
+    let mut n = nvars.checked_mul(8)?;
+    for axis in 0..2 {
+        let lo = interior.lo[axis].checked_sub(nghost)?;
+        let hi = interior.hi[axis].checked_add(nghost)?;
+        let extent = hi.checked_sub(lo)?.checked_add(1)?;
+        n = n.checked_mul(usize::try_from(extent).ok()?)?;
+    }
+    Some(n)
+}
+
+/// Read exactly `len` bytes. The buffer grows only as bytes actually
+/// arrive, so a stream that declares more data than it carries costs
+/// what it carries, not what it declares.
+fn get_bytes(r: &mut impl Read, len: usize) -> Result<Vec<u8>, CheckpointError> {
+    let mut buf = Vec::with_capacity(len.min(1 << 16));
+    r.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() != len {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
+    Ok(buf)
 }
 
 /// Serialize one stored patch as a self-describing migration record:
@@ -312,7 +340,7 @@ pub fn read_checkpoint(
     }
     let mut hier = Hierarchy::new(domain0, origin, dx0, ratio);
     let n_levels = get_u64(r)? as usize;
-    if n_levels == 0 || n_levels > 64 {
+    if n_levels == 0 || n_levels > MAX_LEVELS {
         return Err(CheckpointError::Corrupt(format!("{n_levels} levels")));
     }
     hier.levels.clear();
@@ -327,7 +355,10 @@ pub fn read_checkpoint(
             let id = get_u64(r)? as usize;
             let interior = get_box(r)?;
             let owner = get_u64(r)? as usize;
-            max_id = max_id.max(id + 1);
+            let next = id
+                .checked_add(1)
+                .ok_or_else(|| CheckpointError::Corrupt(format!("patch id {id}")))?;
+            max_id = max_id.max(next);
             level.patches.push(Patch {
                 id,
                 interior,
@@ -337,6 +368,13 @@ pub fn read_checkpoint(
         hier.levels.push(level);
     }
     hier.reserve_ids(max_id);
+    // (id → box) of every level: what a data record may name.
+    let hier_boxes: Vec<BTreeMap<usize, IntBox>> = hier
+        .levels
+        .iter()
+        .map(|l| l.patches.iter().map(|p| (p.id, p.interior)).collect())
+        .collect();
+    let no_boxes = BTreeMap::new();
 
     let n_objects = get_u64(r)? as usize;
     if n_objects > 1 << 16 {
@@ -353,19 +391,55 @@ pub fn read_checkpoint(
             )));
         }
         let mut dobj = DataObject::new(nvars, nghost);
+        // Every data record must name a patch of the hierarchy block just
+        // parsed, once: counts and boxes are bounded by it, not by what
+        // the object section declares. (An object may carry empty levels
+        // the hierarchy has since dropped.)
         let n_levels = get_u64(r)? as usize;
+        if n_levels > MAX_LEVELS {
+            return Err(CheckpointError::Corrupt(format!(
+                "object '{name}': {n_levels} levels"
+            )));
+        }
         for level in 0..n_levels {
-            let n_patches = get_u64(r)? as usize;
+            let hier_boxes = hier_boxes.get(level).unwrap_or(&no_boxes);
+            let n_patches = get_u64(r)?;
+            if n_patches > hier_boxes.len() as u64 {
+                return Err(CheckpointError::Corrupt(format!(
+                    "object '{name}' level {level}: {n_patches} patches, hierarchy has {}",
+                    hier_boxes.len()
+                )));
+            }
             for _ in 0..n_patches {
                 let id = get_u64(r)? as usize;
                 let interior = get_box(r)?;
+                if hier_boxes.get(&id) != Some(&interior) || dobj.patch(level, id).is_some() {
+                    return Err(CheckpointError::Corrupt(format!(
+                        "object '{name}' level {level}: patch {id} {:?}..{:?} is not \
+                         a patch of the hierarchy, or appears twice",
+                        interior.lo, interior.hi
+                    )));
+                }
+                let len = checked_data_len(&interior, nvars, nghost).ok_or_else(|| {
+                    CheckpointError::Corrupt(format!(
+                        "object '{name}' level {level}: size of patch {id} {:?}..{:?} overflows",
+                        interior.lo, interior.hi
+                    ))
+                })?;
+                // All of the patch's bytes are in hand before its storage
+                // is allocated.
+                let raw = get_bytes(r, len)?;
+                let mut rest = raw.as_slice();
                 let mut pd = PatchData::new(interior, nvars, nghost);
                 let t = pd.total_box();
                 for var in 0..nvars {
                     for j in t.lo[1]..=t.hi[1] {
-                        for v in pd.row_mut(var, j).iter_mut() {
-                            *v = get_f64(r)?;
+                        let row = pd.row_mut(var, j);
+                        let (head, tail) = rest.split_at(8 * row.len());
+                        for (v, b) in row.iter_mut().zip(head.chunks_exact(8)) {
+                            *v = f64::from_le_bytes(b.try_into().expect("8-byte chunk"));
                         }
+                        rest = tail;
                     }
                 }
                 dobj.insert(level, id, pd);
@@ -474,7 +548,7 @@ mod tests {
         patch_to_bytes(2, 7, &wide, &mut b_wide);
         assert_eq!(b_dense, b_wide, "padding leaked into record bytes");
         assert_eq!(b_wide.len(), patch_record_len(&interior, 2, 2));
-        // Restore with the process default quantum (8): values must match
+        // Restore with the constant quantum (8): values must match
         // the pitch-16 original bit-for-bit.
         let (level, id, back) = patch_from_bytes(&mut b_wide.as_slice(), 2, 2).unwrap();
         assert_eq!((level, id), (2, 7));
@@ -575,14 +649,85 @@ mod tests {
         assert!(matches!(err, CheckpointError::BadHeader(_)), "{err}");
     }
 
+    /// A checkpoint of `hier` whose single object "state" (1 var, no
+    /// ghosts) has one level of hand-written `(id, box, n_zero_values)`
+    /// records.
+    fn hand_written(hier: &Hierarchy, records: &[(usize, IntBox, usize)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_checkpoint(hier, &BTreeMap::new(), &mut buf).unwrap();
+        buf.truncate(buf.len() - 8); // the empty object count
+        put_u64(&mut buf, 1).unwrap();
+        put_str(&mut buf, "state").unwrap();
+        put_u64(&mut buf, 1).unwrap(); // nvars
+        put_i64(&mut buf, 0).unwrap(); // nghost
+        put_u64(&mut buf, 1).unwrap(); // n_levels
+        put_u64(&mut buf, records.len() as u64).unwrap();
+        for (id, interior, n_values) in records {
+            put_u64(&mut buf, *id as u64).unwrap();
+            put_box(&mut buf, interior).unwrap();
+            buf.resize(buf.len() + 8 * n_values, 0);
+        }
+        buf
+    }
+
     #[test]
-    fn truncated_stream_rejected() {
+    fn hostile_sizes_are_typed_errors_not_allocations() {
+        let square = |edge: i64| IntBox::new([0, 0], [edge - 1, edge - 1]);
+        let hier_of = |interior: IntBox| {
+            let mut hier = Hierarchy::new(square(16), [0.0, 0.0], [1.0; 2], 2);
+            hier.levels[0].patches[0].interior = interior;
+            let spare = Patch {
+                id: hier.fresh_id(),
+                interior: IntBox::new([-16, 0], [-1, 15]),
+                owner: 0,
+            };
+            hier.levels[0].patches.push(spare);
+            hier
+        };
+        let hier = hier_of(square(16));
+        let id = hier.levels[0].patches[0].id;
+        let good = hand_written(&hier, &[(id, square(16), 256)]);
+        assert!(read_checkpoint(&mut good.as_slice()).is_ok());
+        let rejected = |buf: &[u8], why: &str| {
+            let err = read_checkpoint(&mut &buf[..]).err().unwrap();
+            assert!(matches!(err, CheckpointError::Corrupt(_)), "{why}: {err}");
+            assert!(err.to_string().contains(why), "{why}: {err}");
+        };
+        // A 2^31 x 2^31 data record the hierarchy does not have (the old
+        // reader allocated it up front), and a patch listed twice.
+        rejected(
+            &hand_written(&hier, &[(id, square(1 << 31), 0)]),
+            "not a patch",
+        );
+        let record = (id, square(16), 256);
+        rejected(&hand_written(&hier, &[record, record]), "not a patch");
+        // A box hierarchy and record agree on: only checked arithmetic
+        // stops the overflowing one, and the 8 TiB one must run out of
+        // input, not out of memory.
+        let far = IntBox::new([0, 0], [i64::MAX, i64::MAX]);
+        rejected(&hand_written(&hier_of(far), &[(id, far, 0)]), "overflows");
+        let big = hand_written(&hier_of(square(1 << 20)), &[(id, square(1 << 20), 8)]);
+        let err = read_checkpoint(&mut big.as_slice()).err().unwrap();
+        assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+        // Counts beyond what the hierarchy block holds: n_levels and
+        // n_patches sit just before the one (id, box, data) record.
+        let n_patches_at = good.len() - (8 + 32 + 8 * 256) - 8;
+        for (at, why) in [(n_patches_at - 8, "levels"), (n_patches_at, "patches")] {
+            let mut bad = good.clone();
+            bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            rejected(&bad, why);
+        }
+    }
+
+    #[test]
+    fn every_truncation_is_a_typed_error() {
         let (hier, objects) = sample();
         let mut buf = Vec::new();
         write_checkpoint(&hier, &objects, &mut buf).unwrap();
-        buf.truncate(buf.len() / 2);
-        let err = read_checkpoint(&mut buf.as_slice()).err().unwrap();
-        assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+        for keep in 0..buf.len() {
+            let err = read_checkpoint(&mut &buf[..keep]).err().unwrap();
+            assert!(matches!(err, CheckpointError::Io(_)), "keep {keep}: {err}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! Layout is an explicit padded structure-of-arrays (DESIGN.md §13): one
 //! contiguous *plane* per variable, row-major inside the plane, with the
-//! row **pitch** rounded up to the [`crate::layout::pitch_quantum`] so
+//! row **pitch** rounded up to [`crate::layout::DEFAULT_PITCH_QUANTUM`] so
 //! every row starts at an aligned element offset and kernels see
 //! unit-stride, branch-free row slices. Padding is invisible to values:
 //! every accessor that reads or writes data ([`PatchData::row`], pack/
@@ -32,10 +32,10 @@ pub struct PatchData {
 }
 
 impl PatchData {
-    /// Allocate zero-initialized storage with the process-default pitch
-    /// quantum ([`crate::layout::pitch_quantum`]).
+    /// Allocate zero-initialized storage with the constant pitch quantum
+    /// ([`crate::layout::DEFAULT_PITCH_QUANTUM`]).
     pub fn new(interior: IntBox, nvars: usize, nghost: i64) -> Self {
-        Self::with_pitch_quantum(interior, nvars, nghost, layout::pitch_quantum())
+        Self::with_pitch_quantum(interior, nvars, nghost, layout::DEFAULT_PITCH_QUANTUM)
     }
 
     /// Allocate zero-initialized storage with an explicit pitch quantum

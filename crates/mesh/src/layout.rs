@@ -1,100 +1,34 @@
-//! Kernel layout and tiling knobs: the process-wide configuration behind
-//! the padded structure-of-arrays patch layout ([`crate::data::PatchData`])
-//! and the cache-tiled stencil/flux sweeps (DESIGN.md §13).
+//! Kernel layout and tiling parameters behind the padded
+//! structure-of-arrays patch layout ([`crate::data::PatchData`]) and the
+//! banded stencil/flux sweeps (DESIGN.md §13). Nothing here is
+//! process-wide state: the pitch quantum is a constant and the band
+//! height is an explicit argument of each kernel call.
 //!
-//! Three knobs, all read through atomics so every executor worker sees
-//! the same values within a run:
-//!
-//! * **pitch quantum** — row pitches are rounded up to a multiple of this
-//!   many `f64`s, so every row of every variable plane starts at an
-//!   element offset that is a multiple of the quantum (64 bytes at the
-//!   default of 8: one cache line, and the natural AVX-512 vector width).
-//!   Padding changes *addresses only*: every value-carrying loop iterates
-//!   dense rows, so results are bit-identical at any quantum.
-//! * **tile rows** — stencil and flux sweeps block their j-loop into
-//!   bands of this many rows so a band plus its stencil halo stays cache
-//!   resident; `0` disables tiling. Tiling reorders only whole-cell
-//!   units of work whose arithmetic is cell-independent, so it is also
-//!   bit-identical (see `KernelConfig`).
-//! * **fast divide** — hoists per-cell divisions by the (loop-invariant)
-//!   cell volume into a reciprocal multiplication. This genuinely changes
-//!   rounding, so it is **off by default** and covered by tolerance-gated
-//!   (`|Δ| ≤ 1e-12` relative) acceptance tests instead of bit-identity.
-//!
-//! Environment overrides (read once, then sticky): `CCA_PITCH_QUANTUM`,
-//! `CCA_TILE_ROWS`, `CCA_FAST_DIV=1`.
+//! * **pitch quantum** — row pitches are rounded up to a multiple of
+//!   [`DEFAULT_PITCH_QUANTUM`] `f64`s, so every row of every variable
+//!   plane starts at an element offset that is a multiple of the quantum
+//!   (64 bytes: one cache line). Padding changes *addresses only*: every
+//!   value-carrying loop iterates dense rows, so results are
+//!   bit-identical at any quantum.
+//! * **tile rows** — stencil and flux sweeps can block their j-loop into
+//!   bands of this many rows; `0` is one band over the whole patch.
+//!   Banding reorders only whole-cell units of work whose arithmetic is
+//!   cell-independent, so it is bit-identical (see [`KernelConfig`]).
+//!   Production runs [`KernelConfig::UNTILED`]; a band height is passed
+//!   only by the wall-clock probes and the bit-identity tests.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Once;
-
-/// Default row-pitch quantum in `f64` elements (64 bytes).
+/// Row-pitch quantum in `f64` elements (64 bytes) of every patch
+/// [`crate::data::PatchData::new`] allocates. Measured, not modeled: the
+/// dense layout (quantum 1) costs the `fleet_mixed` benchmark workload
+/// 2.00–2.02 s → 2.09–2.11 s wall (7/7 alternating pairs) and is flat on
+/// the other workloads, so padding pays and has one good value.
 pub const DEFAULT_PITCH_QUANTUM: usize = 8;
 
-/// Default j-loop tile height in rows.
+/// Band height in rows the wall-clock probes time the diffusion sweep
+/// at. No production sweep is banded: at this height `diffusion_uniform`
+/// ran ≈ 7.5 % slower than untiled, because each 16-row band recomputes
+/// its 2 halo rows of transport properties (EXPERIMENTS.md).
 pub const DEFAULT_TILE_ROWS: usize = 16;
-
-static PITCH_QUANTUM: AtomicUsize = AtomicUsize::new(DEFAULT_PITCH_QUANTUM);
-static TILE_ROWS: AtomicUsize = AtomicUsize::new(DEFAULT_TILE_ROWS);
-static FAST_DIV: AtomicBool = AtomicBool::new(false);
-static ENV_INIT: Once = Once::new();
-
-fn ensure_env() {
-    ENV_INIT.call_once(|| {
-        if let Some(q) = std::env::var("CCA_PITCH_QUANTUM")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            PITCH_QUANTUM.store(q.max(1), Ordering::Relaxed);
-        }
-        if let Some(t) = std::env::var("CCA_TILE_ROWS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            TILE_ROWS.store(t, Ordering::Relaxed);
-        }
-        if std::env::var("CCA_FAST_DIV").is_ok_and(|v| v == "1") {
-            FAST_DIV.store(true, Ordering::Relaxed);
-        }
-    });
-}
-
-/// Current row-pitch quantum (elements). Always ≥ 1.
-pub fn pitch_quantum() -> usize {
-    ensure_env();
-    PITCH_QUANTUM.load(Ordering::Relaxed).max(1)
-}
-
-/// Set the row-pitch quantum for subsequently allocated patches (clamped
-/// to ≥ 1). Existing patches keep their pitch; results are pitch-
-/// independent either way.
-pub fn set_pitch_quantum(quantum: usize) {
-    ensure_env();
-    PITCH_QUANTUM.store(quantum.max(1), Ordering::Relaxed);
-}
-
-/// Current default tile height in rows (`0` = untiled).
-pub fn tile_rows() -> usize {
-    ensure_env();
-    TILE_ROWS.load(Ordering::Relaxed)
-}
-
-/// Set the default tile height (`0` disables tiling).
-pub fn set_tile_rows(rows: usize) {
-    ensure_env();
-    TILE_ROWS.store(rows, Ordering::Relaxed);
-}
-
-/// Is the (order-changing, tolerance-gated) reciprocal-multiply mode on?
-pub fn fast_div() -> bool {
-    ensure_env();
-    FAST_DIV.load(Ordering::Relaxed)
-}
-
-/// Enable or disable the reciprocal-multiply mode.
-pub fn set_fast_div(enabled: bool) {
-    ensure_env();
-    FAST_DIV.store(enabled, Ordering::Relaxed);
-}
 
 /// Round `n` up to a multiple of `quantum` (≥ 1 enforced).
 pub fn pad_to_quantum(n: usize, quantum: usize) -> usize {
@@ -102,41 +36,21 @@ pub fn pad_to_quantum(n: usize, quantum: usize) -> usize {
     n.div_ceil(q) * q
 }
 
-/// Snapshot of the tiling/arithmetic knobs a kernel call should honor.
-/// Kernels take this by value (or read [`KernelConfig::current`] once per
-/// call), so a single evaluation never mixes knob values even if another
-/// thread changes the globals mid-run.
+/// The band height a kernel call should sweep with, taken by value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelConfig {
     /// j-loop tile height in rows; `0` = untiled single band.
     pub tile_rows: usize,
-    /// Multiply by hoisted reciprocals instead of dividing per cell.
-    /// Changes summation/rounding order: tolerance-gated, default off.
-    pub fast_div: bool,
 }
 
 impl KernelConfig {
-    /// The bit-identity reference configuration: no tiling, no reordered
-    /// arithmetic.
-    pub const UNTILED: KernelConfig = KernelConfig {
-        tile_rows: 0,
-        fast_div: false,
-    };
+    /// One band over the whole patch: what production passes, and the
+    /// reference the banded configurations are bit-compared against.
+    pub const UNTILED: KernelConfig = KernelConfig { tile_rows: 0 };
 
-    /// Snapshot of the process-wide knobs.
-    pub fn current() -> Self {
-        KernelConfig {
-            tile_rows: tile_rows(),
-            fast_div: fast_div(),
-        }
-    }
-
-    /// A tiled, order-preserving configuration.
+    /// A banded configuration (same bits as [`KernelConfig::UNTILED`]).
     pub fn tiled(rows: usize) -> Self {
-        KernelConfig {
-            tile_rows: rows,
-            fast_div: false,
-        }
+        KernelConfig { tile_rows: rows }
     }
 
     /// Band height in rows for a sweep over `ny` rows: the tile height,
@@ -147,12 +61,6 @@ impl KernelConfig {
         } else {
             self.tile_rows
         }
-    }
-}
-
-impl Default for KernelConfig {
-    fn default() -> Self {
-        KernelConfig::current()
     }
 }
 
@@ -176,13 +84,5 @@ mod tests {
         assert_eq!(KernelConfig::UNTILED.band_rows(40), 40);
         assert_eq!(KernelConfig::tiled(16).band_rows(40), 16);
         assert_eq!(KernelConfig::UNTILED.band_rows(0), 1);
-    }
-
-    #[test]
-    fn default_knobs_are_sane() {
-        // Whatever tests elsewhere set, the clamps hold.
-        assert!(pitch_quantum() >= 1);
-        let cfg = KernelConfig::current();
-        let _ = cfg.band_rows(8);
     }
 }

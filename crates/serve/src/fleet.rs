@@ -20,7 +20,7 @@
 //! * **QoS** — tenants ([`crate::tenant`]) get class bands (interactive ≻
 //!   standard ≻ batch), stride fair-share within a band, and priority
 //!   aging so no job starves forever.
-//! * **Deadline admission** — the [`CostModel`] predicts an attempt's
+//! * **Deadline admission** — [`cost::predict`] gives an attempt's
 //!   virtual-tick cost exactly; a job whose deadline is provably
 //!   unreachable even on the globally earliest-free session is refused
 //!   (or accepted degraded) *at submit time*, before it can rot in a
@@ -74,7 +74,7 @@
 //! their latency distributions byte-for-byte.
 
 use crate::cache::Artifacts;
-use crate::cost::{CostModel, LatePolicy};
+use crate::cost::{self, LatePolicy};
 use crate::job::{JobId, JobKey, Override, SimJob, WorkloadKind};
 use crate::queue::Entry;
 use crate::session::{CancelReason, CancelToken, PaletteFn, PreemptSpec, RunOutcome};
@@ -271,8 +271,6 @@ pub struct FleetConfig {
     pub aging_ticks: u64,
     /// The tenant table; job `tenant` fields index into it.
     pub tenants: Vec<TenantSpec>,
-    /// Cost model for deadline-aware admission.
-    pub cost_model: CostModel,
 }
 
 impl Default for FleetConfig {
@@ -287,7 +285,6 @@ impl Default for FleetConfig {
             slice_steps: 4,
             aging_ticks: 64,
             tenants: default_tenants(),
-            cost_model: CostModel::default(),
         }
     }
 }
@@ -740,11 +737,7 @@ impl Fleet {
         if let Some(rel) = job.deadline {
             let deadline_abs = self.clock.saturating_add(rel);
             let earliest = self.earliest_start();
-            if let Some(needed) = self
-                .cfg
-                .cost_model
-                .provably_late(&job, earliest, deadline_abs)
-            {
+            if let Some(needed) = cost::provably_late(&job, earliest, deadline_abs) {
                 match job.on_late {
                     LatePolicy::Reject => {
                         self.rejected_deadline += 1;
@@ -1171,7 +1164,7 @@ impl Fleet {
             && self.cfg.slice_steps > 0
         {
             let slice = self.cfg.slice_steps.max(entry.job.ckpt_interval) + ctx.extend_slice;
-            let remaining = self.cfg.cost_model.predict(&entry.job).steps;
+            let remaining = cost::predict(&entry.job).steps;
             (remaining > slice).then_some(PreemptSpec {
                 at_step: slice,
                 mid_snapshot: entry.job.fault.mid_snapshot_preempt,
@@ -1260,7 +1253,7 @@ impl Fleet {
                     ctx.extend_slice = 0;
                 }
                 ctx.committed_steps = committed;
-                let total = self.cfg.cost_model.predict(&ctx.base_job).steps;
+                let total = cost::predict(&ctx.base_job).steps;
                 let remaining = total.saturating_sub(committed).max(1);
                 let mut cont = ctx.base_job.clone();
                 cont.overrides

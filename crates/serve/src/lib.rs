@@ -19,7 +19,7 @@
 //!   ([`fleet::HashRing`]) so coalescing and the result cache stay
 //!   effective per shard, with deterministic work stealing between idle
 //!   and overloaded pools, per-tenant QoS fair share ([`tenant`]),
-//!   cost-model-based deadline admission ([`cost`]), and preemptive
+//!   exact-tick deadline admission ([`cost`]), and preemptive
 //!   checkpoint-based migration of long jobs between shards (real
 //!   `cca-ckpt` bytes under a sealed handoff ticket — results stay
 //!   bit-identical to unmigrated runs).
@@ -49,7 +49,7 @@ pub mod tenant;
 pub mod workload;
 
 pub use cache::{Artifacts, CacheStats, ResultCache};
-pub use cost::{CostModel, CostPrediction, LatePolicy};
+pub use cost::{CostPrediction, LatePolicy};
 pub use fleet::{Fleet, FleetConfig, FleetStats, HashRing, JobOutcome, SubmitError, TenantRow};
 pub use job::{DistributedSpec, FaultSpec, JobId, JobKey, Override, SimJob, WorkloadKind};
 pub use loadgen::{

@@ -69,4 +69,19 @@ if grep -rn --include='*.rs' -E 'Instant::now|SystemTime|wall_clock|thread_rng|f
   exit 1
 fi
 
+# Library behaviour must be a function of its arguments: PR 9's kernel
+# knobs were process-wide values read from the environment, so two runs
+# of one binary could sweep differently and no call site showed it. The
+# one allowed read is the executor worker count (WORKERS_ENV in
+# crates/core/src/framework.rs): a deployment setting that, by the
+# bit-identity contract, never changes a result. crates/bench is a
+# harness, not library code.
+ENV_ALLOW='^crates/core/src/framework\.rs:[0-9]+:.*WORKERS_ENV'
+if grep -rn --include='*.rs' 'env::var' crates/*/src \
+  | grep -v '^crates/bench/' | grep -Ev "$ENV_ALLOW"; then
+  echo "determinism lint: environment read in library code; pass the" >&2
+  echo "value as an argument (see scripts/lint_determinism.sh)" >&2
+  exit 1
+fi
+
 echo "determinism lint: clean"
