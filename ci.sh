@@ -40,6 +40,10 @@ echo "== benchmark package (stand-alone; must keep compiling against the crates)
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
+echo "== benchmark smoke (flame_samr checks: cross-rep digest, invariants, 1 vs 2 workers same bits)"
+cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- run flame_samr --smoke > /dev/null
+cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- run flame_samr --smoke --trace > /dev/null
+
 echo "== cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

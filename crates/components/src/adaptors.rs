@@ -13,11 +13,10 @@
 //!   Integration subsystem for all cells and all patches".
 
 use crate::ports::{
-    ChemistryAdvancePort, ChemistryKernel, ChemistrySourcePort, DataPort, DpdtPort, MeshPort,
-    OdeCellKernel, OdeIntegratorPort, OdeRhsPort, OdeSystemKernel,
+    ChemistryAdvancePort, ChemistryKernel, ChemistrySourcePort, DataPort, DpdtPort, IntegrateStats,
+    MeshPort, OdeIntegratorPort, OdeRhsPort, OdeSystemKernel,
 };
-use cca_core::{scratch, Component, ParameterPort, Services};
-use cca_mesh::data::PatchData;
+use cca_core::{Component, ParameterPort, Services};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
@@ -383,7 +382,7 @@ impl OdeRhsPort for CellChemistryRhs {
 }
 
 /// Worker-thread face of the cell RHS: the same math over the chemistry
-/// kernel snapshot. One instance per patch job; the scratch mutex is
+/// kernel snapshot. One instance per cell batch; the scratch mutex is
 /// uncontended (a job runs on exactly one worker).
 struct CellKernelSys {
     chem: Arc<dyn ChemistryKernel>,
@@ -402,54 +401,46 @@ impl OdeSystemKernel for CellKernelSys {
     }
 }
 
-/// One patch's share of the chemistry sweep: the detached patch data,
-/// the cells to integrate (coarse cells covered by a finer level are
-/// excluded up front, on the framework thread), and the outcome.
-struct PatchSweep {
-    pd: PatchData,
-    cells: Vec<(i64, i64)>,
+/// Cells per executor work item of the chemistry sweep. A cell costs
+/// ≈ 150 µs, so a batch is ≈ 5 ms: the idle tail at the end of a run is
+/// at most one batch while the ≈ 1 µs pool dispatch per item stays
+/// invisible. Patches are not the unit because a regrid decides their
+/// count and sizes (DESIGN.md "Patch-kernel executor").
+const BATCH_CELLS: usize = 32;
+
+/// One work item of the chemistry sweep: the gathered states of up to
+/// [`BATCH_CELLS`] consecutive cells of the sweep order, owned, so
+/// disjointness between workers is a fact of ownership.
+struct CellBatch {
+    /// `nvars` values per cell, cell after cell.
+    states: Vec<f64>,
     steps: usize,
-    error: Option<String>,
+    /// Slot and message of the first cell whose integration failed.
+    error: Option<(usize, String)>,
+}
+
+impl CellBatch {
+    /// Integrate every cell in place, in slot order, stopping at the
+    /// first failure — the one cell loop behind both integrate faces.
+    fn sweep(
+        &mut self,
+        nvars: usize,
+        integrate: impl Fn(&mut [f64]) -> Result<IntegrateStats, String>,
+    ) {
+        for (slot, cell) in self.states.chunks_exact_mut(nvars).enumerate() {
+            match integrate(cell) {
+                Ok(st) => self.steps += st.steps,
+                Err(e) => {
+                    self.error = Some((slot, e));
+                    return;
+                }
+            }
+        }
+    }
 }
 
 struct ImplicitInner {
     services: Services,
-}
-
-impl ImplicitInner {
-    /// Integrate every listed cell of one detached patch — the kernel the
-    /// executor schedules. Runs identically at 1 or N workers.
-    fn sweep_patch(
-        job: &mut PatchSweep,
-        chem: &Arc<dyn ChemistryKernel>,
-        cell_kernel: &Arc<dyn OdeCellKernel>,
-        level: usize,
-        dt: f64,
-        p: f64,
-        nvars: usize,
-    ) {
-        let sys = CellKernelSys {
-            chem: chem.clone(),
-            pressure: p,
-            scratch: Mutex::new(CellScratch::default()),
-        };
-        let mut cell_state = scratch::take_f64(nvars);
-        for &(i, j) in &job.cells {
-            for (v, cs) in cell_state.iter_mut().enumerate() {
-                *cs = job.pd.get(v, i, j);
-            }
-            match cell_kernel.integrate(&sys, 0.0, dt, &mut cell_state) {
-                Ok(st) => job.steps += st.steps,
-                Err(e) => {
-                    job.error = Some(format!("cell ({i},{j}) level {level}: {e}"));
-                    return;
-                }
-            }
-            for (v, cs) in cell_state.iter().enumerate() {
-                job.pd.set(v, i, j, *cs);
-            }
-        }
-    }
 }
 
 impl ChemistryAdvancePort for ImplicitInner {
@@ -475,111 +466,92 @@ impl ChemistryAdvancePort for ImplicitInner {
             .get_port::<Rc<dyn DataPort>>("data")
             .map_err(|e| e.to_string())?;
         let nvars = data.nvars(state);
-        // The parallel route needs both upstream components to offer
-        // kernel snapshots; otherwise the sweep stays on this thread.
-        let kernels = chem.kernel().zip(integ.cell_kernel());
-        let executor = self.services.executor();
-        let mut total_steps = 0usize;
-        let mut failure: Option<String> = None;
-        // "for all cells and all patches", finest-first so coarse covered
-        // regions could be skipped by restriction afterwards; order does
-        // not matter physically (point operation).
+        // Gather: "for all cells and all patches", coarse cells covered by
+        // a finer level excluded (the finer level integrates that region).
+        // The order does not matter physically (point operation); it fixes
+        // which cell an error names. `cells[n]` is where slot `n % BATCH_CELLS`
+        // of batch `n / BATCH_CELLS` came from.
+        let mut cells: Vec<(usize, usize, i64, i64)> = Vec::new();
+        let mut batches: Vec<CellBatch> = Vec::new();
         for level in 0..mesh.n_levels() {
-            if let Some((chem_k, cell_k)) = &kernels {
-                // Patch-parallel sweep: detach the level's patches as
-                // disjoint owned views, integrate them on the worker
-                // pool, re-attach. The kernel path is taken at *any*
-                // worker count (the executor runs inline at 1), so the
-                // numerics never depend on the worker knob.
-                let ids: Vec<usize> = mesh.patches(level).iter().map(|(id, _, _)| *id).collect();
-                let jobs: Vec<PatchSweep> = data
-                    .take_level_patches(state, level, &ids)
-                    .into_iter()
-                    .map(|pd| {
-                        let cells = pd
-                            .interior
-                            .cells()
-                            .filter(|&(i, j)| !mesh.covered_by_finer(level, i, j))
-                            .collect();
-                        PatchSweep {
-                            pd,
-                            cells,
-                            steps: 0,
-                            error: None,
+            for (id, _, _) in mesh.patches(level) {
+                data.with_patch(state, level, id, &mut |pd| {
+                    for (i, j) in pd.interior.cells() {
+                        if mesh.covered_by_finer(level, i, j) {
+                            continue;
                         }
-                    })
-                    .collect();
-                let (chem_k, cell_k) = (chem_k.clone(), cell_k.clone());
-                let report = executor.run(
-                    "ImplicitIntegrator.cell-sweep",
-                    jobs,
-                    move |_worker, job| {
-                        Self::sweep_patch(job, &chem_k, &cell_k, level, dt, p, nvars);
-                    },
-                );
-                if report.poisoned() {
-                    // A kernel panicked: the run is poisoned and the
-                    // detached patches are forfeit (documented contract
-                    // of take_level_patches).
-                    return Err(report
-                        .into_result()
-                        .err()
-                        .expect("poisoned runs carry failures"));
-                }
-                let jobs = report.into_result().expect("not poisoned");
-                let mut put_back = Vec::with_capacity(jobs.len());
-                for job in jobs {
-                    total_steps += job.steps;
-                    if let Some(e) = job.error {
-                        failure.get_or_insert(e);
-                    }
-                    put_back.push(job.pd);
-                }
-                data.put_level_patches(state, level, &ids, put_back);
-                if let Some(e) = failure {
-                    return Err(e);
-                }
-            } else {
-                // One RHS adaptor and one state buffer for the whole
-                // level sweep: `integrate` takes the Rc by value, so
-                // each cell costs a refcount bump, not a heap
-                // allocation (the adaptor's internal scratch is reused
-                // across cells).
-                let rhs = Rc::new(CellChemistryRhs::new(chem.clone(), p));
-                let mut cell_state = scratch::take_f64(nvars);
-                for (id, _interior, _) in mesh.patches(level) {
-                    let mut step_patch = |pd: &mut PatchData| {
-                        let interior = pd.interior;
-                        for (i, j) in interior.cells() {
-                            if mesh.covered_by_finer(level, i, j) {
-                                continue; // the finer level integrates this region
-                            }
-                            for (v, cs) in cell_state.iter_mut().enumerate() {
-                                *cs = pd.get(v, i, j);
-                            }
-                            match integ.integrate(rhs.clone(), 0.0, dt, &mut cell_state) {
-                                Ok(st) => total_steps += st.steps,
-                                Err(e) => {
-                                    failure.get_or_insert(format!(
-                                        "cell ({i},{j}) level {level}: {e}"
-                                    ));
-                                    return;
-                                }
-                            }
-                            for (v, cs) in cell_state.iter().enumerate() {
-                                pd.set(v, i, j, *cs);
-                            }
+                        let n = cells.len();
+                        if n.is_multiple_of(BATCH_CELLS) {
+                            batches.push(CellBatch {
+                                states: Vec::with_capacity(BATCH_CELLS * nvars),
+                                steps: 0,
+                                error: None,
+                            });
                         }
-                    };
-                    data.with_patch_mut(state, level, id, &mut step_patch);
-                    if let Some(e) = failure {
-                        return Err(e);
+                        cells.push((level, id, i, j));
+                        let gathered = (0..nvars).map(|v| pd.get(v, i, j));
+                        batches[n / BATCH_CELLS].states.extend(gathered);
                     }
-                    failure = None;
-                }
+                });
             }
         }
-        Ok(total_steps)
+        // Run: one executor run over the whole hierarchy when both upstream
+        // components offer kernel snapshots — at *any* worker count (the
+        // executor runs inline at 1), so the numerics never depend on the
+        // worker knob; otherwise the same batches through the ports on
+        // this thread.
+        let batches = match chem.kernel().zip(integ.cell_kernel()) {
+            Some((chem_k, cell_k)) => {
+                let kernel = move |_index: usize, batch: &mut CellBatch| {
+                    let sys = CellKernelSys {
+                        chem: chem_k.clone(),
+                        pressure: p,
+                        scratch: Mutex::new(CellScratch::default()),
+                    };
+                    batch.sweep(nvars, |cell| cell_k.integrate(&sys, 0.0, dt, cell));
+                };
+                // A panicked kernel poisons the run; nothing was scattered,
+                // so the Data Object is untouched.
+                self.services
+                    .executor()
+                    .run("ImplicitIntegrator.cell-sweep", batches, kernel)
+                    .into_result()?
+            }
+            None => {
+                // One RHS adaptor for the sweep: `integrate` takes the Rc by
+                // value, so a cell costs a refcount bump, not an allocation
+                // (the adaptor's internal scratch is reused across cells).
+                let rhs = Rc::new(CellChemistryRhs::new(chem.clone(), p));
+                for batch in &mut batches {
+                    batch.sweep(nvars, |cell| integ.integrate(rhs.clone(), 0.0, dt, cell));
+                }
+                batches
+            }
+        };
+        // Scatter, patch by patch — only if every cell integrated: the
+        // first failing batch holds the first failing cell of the sweep.
+        for (b, batch) in batches.iter().enumerate() {
+            if let Some((slot, e)) = &batch.error {
+                let (level, _, i, j) = cells[b * BATCH_CELLS + slot];
+                return Err(format!("cell ({i},{j}) level {level}: {e}"));
+            }
+        }
+        let mut results = cells
+            .iter()
+            .zip(batches.iter().flat_map(|b| b.states.chunks_exact(nvars)))
+            .peekable();
+        while let Some(&(&(level, id, _, _), _)) = results.peek() {
+            data.with_patch_mut(state, level, id, &mut |pd| {
+                while let Some((&(_, _, i, j), values)) =
+                    results.next_if(|(c, _)| (c.0, c.1) == (level, id))
+                {
+                    for (v, value) in values.iter().enumerate() {
+                        pd.set(v, i, j, *value);
+                    }
+                }
+            });
+        }
+        Ok(batches.iter().map(|b| b.steps).sum())
     }
 }
 

@@ -111,8 +111,9 @@ struct Done<T> {
 }
 
 struct PoolState {
-    /// Monotone submission counter; workers compare against their last
-    /// observed value to decide whether sleeping is safe (no lost wakeup).
+    /// Monotone count of submitted runs; workers compare against their
+    /// last observed value to decide whether sleeping is safe (see
+    /// [`worker_loop`]).
     tickets: u64,
     shutdown: bool,
 }
@@ -152,7 +153,7 @@ impl Pool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("cca-exec-{k}"))
-                    .spawn(move || worker_loop(local, &shared))
+                    .spawn(move || worker_loop(k, local, &shared))
                     .expect("spawn executor worker")
             })
             .collect();
@@ -163,12 +164,13 @@ impl Pool {
         }
     }
 
-    fn submit(&self, job: Job) {
-        self.shared.injector.push(job);
-        {
-            let mut st = self.shared.state.lock();
-            st.tickets += 1;
+    /// Queue every job of one run, then publish them with a single ticket
+    /// bump and a single wakeup (not one mutex round trip per job).
+    fn submit_all(&self, jobs: impl Iterator<Item = Job>) {
+        for job in jobs {
+            self.shared.injector.push(job);
         }
+        self.shared.state.lock().tickets += 1;
         self.shared.signal.notify_all();
     }
 }
@@ -186,12 +188,13 @@ impl Drop for Pool {
     }
 }
 
-fn worker_loop(local: LocalQueue<Job>, shared: &PoolShared) {
-    // Worker index recovered from the thread name set in Pool::new.
-    let me = std::thread::current()
-        .name()
-        .and_then(|n| n.strip_prefix("cca-exec-").and_then(|s| s.parse().ok()))
-        .unwrap_or(0);
+/// No lost wakeup: a run pushes all its jobs *before* it bumps `tickets`,
+/// and the bump and a worker's decision to sleep are both made under the
+/// state mutex. A worker that reads the new ticket value searches again
+/// with every job of the run already visible; a worker that read the old
+/// one finds `tickets != seen_tickets` at its next check and searches
+/// instead of sleeping.
+fn worker_loop(me: usize, local: LocalQueue<Job>, shared: &PoolShared) {
     let mut seen_tickets = 0u64;
     loop {
         if let Some(job) = find_job(&local, shared) {
@@ -527,13 +530,13 @@ where
     let kernel = Arc::new(kernel);
     let (tx, rx) = mpsc::channel::<Done<T>>();
     let mut pending: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    for &i in order {
+    pool.submit_all(order.iter().map(|&i| {
         let mut item = pending[i]
             .take()
             .expect("each index submitted exactly once");
         let kernel = Arc::clone(&kernel);
         let tx = tx.clone();
-        pool.submit(Box::new(move |worker| {
+        Box::new(move |worker| {
             let start = Instant::now();
             let outcome = catch_unwind(AssertUnwindSafe(|| kernel(i, &mut item)));
             let _ = tx.send(Done {
@@ -543,8 +546,8 @@ where
                 busy: start.elapsed().as_secs_f64(),
                 panic: outcome.err().map(|p| panic_message(p.as_ref())),
             });
-        }));
-    }
+        }) as Job
+    }));
     drop(tx);
 
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();

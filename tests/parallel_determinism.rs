@@ -12,18 +12,47 @@
 
 use cca_hydro::apps::reaction_diffusion::{rd_framework, rd_script, RdConfig, RdReport};
 use cca_hydro::apps::shock_interface::{shock_framework, shock_script, ShockConfig, ShockReport};
+use cca_hydro::components::ports::ChemistryAdvancePort;
 use cca_hydro::core::script::run_script;
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-fn run_flame(workers: usize, cfg: &RdConfig) -> RdReport {
+/// Run the flame assembly; returns its report plus the BDF step total of
+/// one further chemistry half-step on the final hierarchy (the return
+/// value of `advance_chemistry`, which the report does not carry).
+fn run_flame(workers: usize, cfg: &RdConfig) -> (RdReport, usize) {
     let mut fw = rd_framework();
     fw.set_workers(workers);
     run_script(&mut fw, &rd_script(cfg)).unwrap();
     let report: Rc<RefCell<RdReport>> = fw.get_provides_port("driver", "report").unwrap();
     let report = report.borrow().clone();
-    report
+    let adv: Rc<dyn ChemistryAdvancePort> = fw
+        .get_provides_port("implicit", "chemistry-advance")
+        .unwrap();
+    let steps = adv
+        .advance_chemistry("state", 0.5 * cfg.dt, 101_325.0)
+        .unwrap();
+    (report, steps)
+}
+
+/// Cells per work item of the chemistry sweep (`BATCH_CELLS`, private to
+/// `cca_components::adaptors`).
+const BATCH_CELLS: i64 = 32;
+
+/// Sweep-order offsets at which the chemistry sweep crosses from one
+/// patch to the next: level 0 is a single patch minus what level 1
+/// covers; level-1 patches are the finest, so none of their cells is
+/// covered.
+fn patch_boundary_offsets(report: &RdReport, ratio: i64) -> Vec<i64> {
+    let fine_cells = report.cells_per_level.get(1).copied().unwrap_or(0);
+    let mut offset = report.cells_per_level[0] - fine_cells / (ratio * ratio);
+    let mut offsets = vec![offset];
+    for (_, lo, hi) in report.final_patches.iter().filter(|p| p.0 == 1) {
+        offset += (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1);
+        offsets.push(offset);
+    }
+    offsets
 }
 
 fn run_shock(workers: usize, cfg: &ShockConfig) -> ShockReport {
@@ -41,7 +70,7 @@ fn run_shock(workers: usize, cfg: &ShockConfig) -> ShockReport {
 /// serial fields bit for bit.
 #[test]
 fn flame_fields_bit_identical_across_worker_counts() {
-    let cfg = RdConfig {
+    let base = RdConfig {
         nx: 16,
         dt: 5.0e-7,
         n_steps: 2,
@@ -49,37 +78,86 @@ fn flame_fields_bit_identical_across_worker_counts() {
         threshold: 50.0,
         ..RdConfig::default()
     };
-    let serial = run_flame(1, &cfg);
-    // AMR must have produced more than one patch, or the test proves
-    // nothing about concurrent execution.
-    assert!(
-        serial.final_patches.len() > 1,
-        "want a multi-patch hierarchy, got {:?}",
-        serial.final_patches
-    );
-    for workers in [2, 4] {
-        let par = run_flame(workers, &cfg);
-        assert_eq!(serial.final_patches, par.final_patches, "w={workers}");
-        assert_eq!(
-            serial.final_t_field.len(),
-            par.final_t_field.len(),
-            "w={workers}"
+    let straddling = RdConfig {
+        nx: 20,
+        threshold: 40.0,
+        n_steps: 1,
+        ..base
+    };
+    for (cfg, straddles) in [(base, false), (straddling, true)] {
+        let (serial, serial_steps) = run_flame(1, &cfg);
+        // AMR must have produced more than one patch, or the test proves
+        // nothing about concurrent execution.
+        assert!(
+            serial.final_patches.len() > 1,
+            "want a multi-patch hierarchy, got {:?}",
+            serial.final_patches
         );
-        for (s, p) in serial.final_t_field.iter().zip(&par.final_t_field) {
-            assert_eq!(
-                s.2.to_bits(),
-                p.2.to_bits(),
-                "T at {:?} w={workers}",
-                (s.0, s.1)
+        if straddles {
+            // ... and here no patch or level boundary may coincide with a
+            // batch boundary: every batch edge case (a batch spanning two
+            // levels, two patches, a short last batch) is on the path.
+            let offsets = patch_boundary_offsets(&serial, cfg.ratio);
+            assert!(
+                offsets.len() > 2 && offsets.iter().all(|o| o % BATCH_CELLS != 0),
+                "want straddling batches, got patch boundaries at {offsets:?}"
             );
         }
-        for (s, p) in serial.t_max_series.iter().zip(&par.t_max_series) {
-            assert_eq!(s.1.to_bits(), p.1.to_bits(), "Tmax series w={workers}");
-        }
-        for (s, p) in serial.h2o2_max_series.iter().zip(&par.h2o2_max_series) {
-            assert_eq!(s.1.to_bits(), p.1.to_bits(), "H2O2 series w={workers}");
+        for workers in [2, 3, 4] {
+            let (par, par_steps) = run_flame(workers, &cfg);
+            assert_eq!(serial_steps, par_steps, "BDF steps w={workers}");
+            assert_eq!(serial.final_patches, par.final_patches, "w={workers}");
+            assert_eq!(
+                serial.final_t_field.len(),
+                par.final_t_field.len(),
+                "w={workers}"
+            );
+            for (s, p) in serial.final_t_field.iter().zip(&par.final_t_field) {
+                assert_eq!(
+                    s.2.to_bits(),
+                    p.2.to_bits(),
+                    "T at {:?} w={workers}",
+                    (s.0, s.1)
+                );
+            }
+            for (s, p) in serial.t_max_series.iter().zip(&par.t_max_series) {
+                assert_eq!(s.1.to_bits(), p.1.to_bits(), "Tmax series w={workers}");
+            }
+            for (s, p) in serial.h2o2_max_series.iter().zip(&par.h2o2_max_series) {
+                assert_eq!(s.1.to_bits(), p.1.to_bits(), "H2O2 series w={workers}");
+            }
         }
     }
+}
+
+/// The unit of chemistry scheduling is a batch of cells, not a patch: a
+/// one-level hierarchy (a single patch) still keeps both workers busy.
+#[test]
+fn single_patch_chemistry_sweep_uses_every_worker() {
+    let cfg = RdConfig {
+        nx: 16,
+        dt: 5.0e-7,
+        n_steps: 1,
+        max_levels: 1,
+        ..RdConfig::default()
+    };
+    let mut fw = rd_framework();
+    fw.set_workers(2);
+    fw.profiler().set_enabled(true);
+    run_script(&mut fw, &rd_script(&cfg)).unwrap();
+    let profiler = fw.profiler();
+    // Two half-steps of 16² cells in batches of 32: one timer call each.
+    let sweep = profiler.stat("ImplicitIntegrator.cell-sweep").unwrap();
+    assert_eq!(sweep.calls as i64, 2 * (16 * 16) / BATCH_CELLS);
+    for worker in [
+        "ImplicitIntegrator.cell-sweep[w0]",
+        "ImplicitIntegrator.cell-sweep[w1]",
+    ] {
+        assert!(profiler.stat(worker).is_some(), "no {worker} row");
+    }
+    // Every other run of this assembly carries one item (the patch).
+    let stats = fw.executor().stats();
+    assert_eq!(stats.items, stats.runs - 2 + sweep.calls);
 }
 
 /// The Euler flux kernel snapshots the States limiter and γ per RHS
