@@ -27,6 +27,9 @@ cargo test -q
 echo "== determinism lint (no hash-ordered iteration in hot paths)"
 ./scripts/lint_determinism.sh
 
+echo "== panic-budget lint (panic sites per crate vs scripts/panic_budget.txt)"
+./scripts/lint_panics.sh
+
 echo "== assembly lint (cca-analyze over the three app scripts)"
 cargo run -q --example cca_lint -- --apps
 

@@ -51,11 +51,14 @@ impl ChemistryKernel for FaultyKernel {
 }
 
 /// Port face of [`FaultyChemistry`]: forwards to the `inner` chemistry.
-struct FaultyPort(Services);
+struct FaultyPort {
+    services: Services,
+    hands_out_kernel: bool,
+}
 
 impl FaultyPort {
     fn inner(&self) -> Rc<dyn ChemistrySourcePort> {
-        self.0.get_port("inner").unwrap()
+        self.services.get_port("inner").unwrap()
     }
 }
 
@@ -91,21 +94,29 @@ impl ChemistrySourcePort for FaultyPort {
         self.inner().calls()
     }
     fn kernel(&self) -> Option<Arc<dyn ChemistryKernel>> {
+        if !self.hands_out_kernel {
+            return None;
+        }
         Some(Arc::new(FaultyKernel(self.inner().kernel()?)))
     }
 }
 
-/// Test palette class: provides `chemistry` by forwarding to the
-/// chemistry connected at `inner`, with a kernel that panics on one cell.
-#[derive(Default)]
-struct FaultyChemistry;
+/// Test palette classes: provide `chemistry` by forwarding to the
+/// chemistry connected at `inner`. `FaultyChemistry` hands out a kernel
+/// that panics on one cell, `KernelLessChemistry` hands out none.
+struct FaultyChemistry {
+    hands_out_kernel: bool,
+}
 
 impl Component for FaultyChemistry {
     fn set_services(&mut self, s: Services) {
         s.register_uses_port::<Rc<dyn ChemistrySourcePort>>("inner");
         s.add_provides_port::<Rc<dyn ChemistrySourcePort>>(
             "chemistry",
-            Rc::new(FaultyPort(s.clone())),
+            Rc::new(FaultyPort {
+                services: s.clone(),
+                hands_out_kernel: self.hands_out_kernel,
+            }),
         );
     }
 }
@@ -120,16 +131,24 @@ struct ChemistryRig {
 }
 
 impl ChemistryRig {
-    fn new(workers: usize, faulty_chemistry: bool) -> Self {
+    /// `wrapper` names the class (`FaultyChemistry`, `KernelLessChemistry`)
+    /// to put between `implicit` and the real chemistry, if any.
+    fn new(workers: usize, wrapper: Option<&str>) -> Self {
         let mut fw = standard_palette();
-        fw.register_class("FaultyChemistry", || Box::<FaultyChemistry>::default());
+        for (class, hands_out_kernel) in [("FaultyChemistry", true), ("KernelLessChemistry", false)]
+        {
+            fw.register_class(class, move || {
+                Box::new(FaultyChemistry { hands_out_kernel })
+            });
+        }
         fw.set_workers(workers);
-        let chemistry = if faulty_chemistry {
-            "instantiate FaultyChemistry faulty\n\
-             connect faulty inner chem chemistry\n\
-             connect implicit chemistry faulty chemistry\n"
-        } else {
-            "connect implicit chemistry chem chemistry\n"
+        let chemistry = match wrapper {
+            Some(class) => format!(
+                "instantiate {class} faulty\n\
+                 connect faulty inner chem chemistry\n\
+                 connect implicit chemistry faulty chemistry\n"
+            ),
+            None => "connect implicit chemistry chem chemistry\n".to_string(),
         };
         run_script(
             &mut fw,
@@ -209,7 +228,7 @@ fn nan_state_fails_chemistry_advance_gracefully() {
     let errors: Vec<String> = [1, 2]
         .into_iter()
         .map(|workers| {
-            let rig = ChemistryRig::new(workers, false);
+            let rig = ChemistryRig::new(workers, None);
             // Two poisoned temperatures: an uncovered coarse cell in the
             // first batch of the sweep, and the last cell of the fine level
             // in the last batch. Whichever batch finishes first, the error
@@ -237,7 +256,7 @@ fn nan_state_fails_chemistry_advance_gracefully() {
 #[test]
 fn panicking_chemistry_kernel_leaves_the_data_object_intact() {
     for workers in [1, 2] {
-        let rig = ChemistryRig::new(workers, true);
+        let rig = ChemistryRig::new(workers, Some("FaultyChemistry"));
         rig.set_temperature(1, (7, 7), PANIC_T);
         let before = rig.snapshot();
         let err = rig
@@ -249,6 +268,24 @@ fn panicking_chemistry_kernel_leaves_the_data_object_intact() {
         assert_eq!(rig.fw.executor().stats().poisonings, 1, "w={workers}");
         assert_eq!(before, rig.snapshot(), "w={workers}");
     }
+}
+
+/// Sweeps run on kernel snapshots only: a chemistry class that hands out
+/// none is an assembly error, reported by name before any cell is touched
+/// — not a silent port-by-port slow path.
+#[test]
+fn chemistry_without_a_kernel_is_an_assembly_error() {
+    let rig = ChemistryRig::new(2, Some("KernelLessChemistry"));
+    let before = rig.snapshot();
+    let err = rig
+        .adv
+        .advance_chemistry("state", 1e-7, 101_325.0)
+        .expect_err("a kernel-less chemistry must fail the advance");
+    assert!(err.starts_with("implicit:"), "{err}");
+    assert!(err.contains("`chemistry`"), "{err}");
+    assert!(err.contains("no kernel snapshot"), "{err}");
+    assert_eq!(rig.fw.executor().stats().runs, 0, "no sweep was started");
+    assert_eq!(before, rig.snapshot());
 }
 
 #[test]

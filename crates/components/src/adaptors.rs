@@ -10,11 +10,13 @@
 //!   to the heat equation": assembles the full `Φ = {T, Y₁..Y_{N−1}, P}`
 //!   right-hand side from the chemistry and dPdt ports;
 //! * [`ImplicitIntegrator`] — the 2D adaptor "that calls on the Implicit
-//!   Integration subsystem for all cells and all patches".
+//!   Integration subsystem for all cells and all patches": one executor
+//!   run per advance over the kernel snapshots of the connected chemistry
+//!   and integrator.
 
 use crate::ports::{
-    ChemistryAdvancePort, ChemistryKernel, ChemistrySourcePort, DataPort, DpdtPort, IntegrateStats,
-    MeshPort, OdeIntegratorPort, OdeRhsPort, OdeSystemKernel,
+    ChemistryAdvancePort, ChemistryKernel, ChemistrySourcePort, DataPort, DpdtPort, MeshPort,
+    OdeCellKernel, OdeIntegratorPort, OdeRhsPort, OdeSystemKernel,
 };
 use cca_core::{Component, ParameterPort, Services};
 use std::cell::{Cell, RefCell};
@@ -240,61 +242,6 @@ impl Component for ProblemModeler {
 // ImplicitIntegrator (2D adaptor)
 // ---------------------------------------------------------------------
 
-/// The gas-phase surface the constant-pressure cell RHS needs,
-/// abstracted over port dispatch (serial path) vs kernel dispatch
-/// (worker path). One implementation of the arithmetic serves both, so
-/// serial and parallel sweeps are bit-identical.
-trait CellChem {
-    fn n_species(&self) -> usize;
-    fn molar_masses(&self, out: &mut [f64]);
-    fn density(&self, t: f64, p: f64, y: &[f64]) -> f64;
-    fn production_rates(&self, t: f64, c: &[f64], wdot: &mut [f64]);
-    fn enthalpies_molar(&self, t: f64, out: &mut [f64]);
-    fn cp_mass(&self, t: f64, y: &[f64]) -> f64;
-}
-
-impl CellChem for dyn ChemistrySourcePort {
-    fn n_species(&self) -> usize {
-        ChemistrySourcePort::n_species(self)
-    }
-    fn molar_masses(&self, out: &mut [f64]) {
-        ChemistrySourcePort::molar_masses(self, out);
-    }
-    fn density(&self, t: f64, p: f64, y: &[f64]) -> f64 {
-        ChemistrySourcePort::density(self, t, p, y)
-    }
-    fn production_rates(&self, t: f64, c: &[f64], wdot: &mut [f64]) {
-        ChemistrySourcePort::production_rates(self, t, c, wdot);
-    }
-    fn enthalpies_molar(&self, t: f64, out: &mut [f64]) {
-        ChemistrySourcePort::enthalpies_molar(self, t, out);
-    }
-    fn cp_mass(&self, t: f64, y: &[f64]) -> f64 {
-        ChemistrySourcePort::cp_mass(self, t, y)
-    }
-}
-
-impl CellChem for dyn ChemistryKernel {
-    fn n_species(&self) -> usize {
-        ChemistryKernel::n_species(self)
-    }
-    fn molar_masses(&self, out: &mut [f64]) {
-        ChemistryKernel::molar_masses(self, out);
-    }
-    fn density(&self, t: f64, p: f64, y: &[f64]) -> f64 {
-        ChemistryKernel::density(self, t, p, y)
-    }
-    fn production_rates(&self, t: f64, c: &[f64], wdot: &mut [f64]) {
-        ChemistryKernel::production_rates(self, t, c, wdot);
-    }
-    fn enthalpies_molar(&self, t: f64, out: &mut [f64]) {
-        ChemistryKernel::enthalpies_molar(self, t, out);
-    }
-    fn cp_mass(&self, t: f64, y: &[f64]) -> f64 {
-        ChemistryKernel::cp_mass(self, t, y)
-    }
-}
-
 #[derive(Default)]
 struct CellScratch {
     y: Vec<f64>,
@@ -304,11 +251,10 @@ struct CellScratch {
     h: Vec<f64>,
 }
 
-/// Constant-pressure single-cell chemistry RHS `d{T, Y}/dt` — the single
-/// copy of the math behind [`CellChemistryRhs`] (port face) and
-/// [`CellKernelSys`] (worker face).
-fn cell_chem_rhs<C: CellChem + ?Sized>(
-    chem: &C,
+/// Constant-pressure single-cell chemistry RHS `d{T, Y}/dt` over the
+/// chemistry kernel snapshot — the math behind [`CellKernelSys`].
+fn cell_chem_rhs(
+    chem: &dyn ChemistryKernel,
     pressure: f64,
     state: &[f64],
     dstate: &mut [f64],
@@ -347,43 +293,9 @@ fn cell_chem_rhs<C: CellChem + ?Sized>(
     dstate[0] = -sum_h_wdot / (rho * chem.cp_mass(temp, y));
 }
 
-struct CellChemistryRhs {
-    chem: Rc<dyn ChemistrySourcePort>,
-    pressure: f64,
-    nfe: Cell<usize>,
-    scratch: RefCell<CellScratch>,
-}
-
-impl CellChemistryRhs {
-    fn new(chem: Rc<dyn ChemistrySourcePort>, pressure: f64) -> Self {
-        CellChemistryRhs {
-            chem,
-            pressure,
-            nfe: Cell::new(0),
-            scratch: RefCell::new(CellScratch::default()),
-        }
-    }
-}
-
-impl OdeRhsPort for CellChemistryRhs {
-    fn dim(&self) -> usize {
-        self.chem.n_species() // {T, Y1..Y_{N-1}} at constant pressure
-    }
-
-    fn eval(&self, _t: f64, state: &[f64], dstate: &mut [f64]) {
-        self.nfe.set(self.nfe.get() + 1);
-        let mut s = self.scratch.borrow_mut();
-        cell_chem_rhs(&*self.chem, self.pressure, state, dstate, &mut s);
-    }
-
-    fn nfe(&self) -> usize {
-        self.nfe.get()
-    }
-}
-
-/// Worker-thread face of the cell RHS: the same math over the chemistry
-/// kernel snapshot. One instance per cell batch; the scratch mutex is
-/// uncontended (a job runs on exactly one worker).
+/// The cell RHS as the ODE system the integrator's cell kernel advances.
+/// One instance per cell batch; the scratch mutex is uncontended (a job
+/// runs on exactly one worker).
 struct CellKernelSys {
     chem: Arc<dyn ChemistryKernel>,
     pressure: f64,
@@ -420,15 +332,17 @@ struct CellBatch {
 }
 
 impl CellBatch {
-    /// Integrate every cell in place, in slot order, stopping at the
-    /// first failure — the one cell loop behind both integrate faces.
+    /// Integrate every cell in place by `dt`, in slot order, stopping at
+    /// the first failure.
     fn sweep(
         &mut self,
         nvars: usize,
-        integrate: impl Fn(&mut [f64]) -> Result<IntegrateStats, String>,
+        integrator: &dyn OdeCellKernel,
+        sys: &dyn OdeSystemKernel,
+        dt: f64,
     ) {
         for (slot, cell) in self.states.chunks_exact_mut(nvars).enumerate() {
-            match integrate(cell) {
+            match integrator.integrate(sys, 0.0, dt, cell) {
                 Ok(st) => self.steps += st.steps,
                 Err(e) => {
                     self.error = Some((slot, e));
@@ -465,6 +379,16 @@ impl ChemistryAdvancePort for ImplicitInner {
             .services
             .get_port::<Rc<dyn DataPort>>("data")
             .map_err(|e| e.to_string())?;
+        // The sweep runs on snapshots; a port that hands out none is a
+        // mis-assembled application, reported before any cell is read.
+        let no_kernel = |port: &str| {
+            format!(
+                "{}: the component connected to `{port}` hands out no kernel snapshot",
+                self.services.instance_name()
+            )
+        };
+        let chem_k = chem.kernel().ok_or_else(|| no_kernel("chemistry"))?;
+        let cell_k = integ.cell_kernel().ok_or_else(|| no_kernel("integrator"))?;
         let nvars = data.nvars(state);
         // Gather: "for all cells and all patches", coarse cells covered by
         // a finer level excluded (the finer level integrates that region).
@@ -495,39 +419,24 @@ impl ChemistryAdvancePort for ImplicitInner {
                 });
             }
         }
-        // Run: one executor run over the whole hierarchy when both upstream
-        // components offer kernel snapshots — at *any* worker count (the
-        // executor runs inline at 1), so the numerics never depend on the
-        // worker knob; otherwise the same batches through the ports on
-        // this thread.
-        let batches = match chem.kernel().zip(integ.cell_kernel()) {
-            Some((chem_k, cell_k)) => {
-                let kernel = move |_index: usize, batch: &mut CellBatch| {
-                    let sys = CellKernelSys {
-                        chem: chem_k.clone(),
-                        pressure: p,
-                        scratch: Mutex::new(CellScratch::default()),
-                    };
-                    batch.sweep(nvars, |cell| cell_k.integrate(&sys, 0.0, dt, cell));
-                };
-                // A panicked kernel poisons the run; nothing was scattered,
-                // so the Data Object is untouched.
-                self.services
-                    .executor()
-                    .run("ImplicitIntegrator.cell-sweep", batches, kernel)
-                    .into_result()?
-            }
-            None => {
-                // One RHS adaptor for the sweep: `integrate` takes the Rc by
-                // value, so a cell costs a refcount bump, not an allocation
-                // (the adaptor's internal scratch is reused across cells).
-                let rhs = Rc::new(CellChemistryRhs::new(chem.clone(), p));
-                for batch in &mut batches {
-                    batch.sweep(nvars, |cell| integ.integrate(rhs.clone(), 0.0, dt, cell));
-                }
-                batches
-            }
+        // Run: one executor run over the whole hierarchy, at *any* worker
+        // count (the executor runs inline at 1), so the numerics never
+        // depend on the worker knob.
+        let kernel = move |_index: usize, batch: &mut CellBatch| {
+            let sys = CellKernelSys {
+                chem: chem_k.clone(),
+                pressure: p,
+                scratch: Mutex::new(CellScratch::default()),
+            };
+            batch.sweep(nvars, &*cell_k, &sys, dt);
         };
+        // A panicked kernel poisons the run; nothing was scattered, so the
+        // Data Object is untouched.
+        let batches = self
+            .services
+            .executor()
+            .run("ImplicitIntegrator.cell-sweep", batches, kernel)
+            .into_result()?;
         // Scatter, patch by patch — only if every cell integrated: the
         // first failing batch holds the first failing cell of the sweep.
         for (b, batch) in batches.iter().enumerate() {

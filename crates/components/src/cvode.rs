@@ -52,9 +52,10 @@ fn to_port_stats(stats: BdfStats) -> IntegrateStats {
 }
 
 /// A configuration snapshot of the component: tolerances and initial
-/// step captured at [`OdeIntegratorPort::cell_kernel`] time. Runs the
-/// exact `Bdf` code the port path runs, so a cell integrated on a worker
-/// thread is bit-identical to one integrated through the port.
+/// step captured at [`OdeIntegratorPort::cell_kernel`] time — what the
+/// hierarchy's chemistry sweep integrates every cell with. Runs the exact
+/// `Bdf` code [`OdeIntegratorPort::integrate`] (the 0D assembly's call)
+/// runs.
 struct BdfCellKernel {
     rtol: f64,
     atol: f64,

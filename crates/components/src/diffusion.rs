@@ -2,11 +2,10 @@
 //! transport source term `K ∇·(B ∇Φ)` of paper Eq. 3, with
 //! `Φ = {T, Y₁…Y_{N−1}}`, `K = (1/ρ){1/cp, 1, …}`, `B = {λ, ρD₁, …}`.
 //!
-//! The stencil lives in `diffusion_rhs`, written once and instantiated
-//! twice: over the CCA ports (serial framework-thread path) and over the
-//! `Send + Sync` kernels (worker-thread path). When the connected
-//! chemistry and transport components offer kernels, the port path
-//! itself routes through the kernel, so both paths are one code path.
+//! The stencil lives in [`diffusion_rhs_with_kernels`], written once over
+//! the `Send + Sync` kernel snapshots the connected chemistry and
+//! transport components hand out. The `patch-rhs` port and the executor
+//! both run the `DiffusionKernel` snapshot, at every worker count.
 
 use crate::ports::{
     ChemistryKernel, ChemistrySourcePort, PatchKernel, PatchRhsPort, TransportKernel, TransportPort,
@@ -24,80 +23,10 @@ use std::sync::Arc;
 /// domain)".
 const P0: f64 = 101_325.0;
 
-/// The gas-property surface the stencil needs, abstracted over port
-/// dispatch vs kernel dispatch so the arithmetic is written exactly once
-/// (the determinism guarantee of the parallel executor relies on this).
-trait DiffProps {
-    fn n_species(&self) -> usize;
-    fn molar_masses(&self, out: &mut [f64]);
-    fn mean_molar_mass(&self, y: &[f64]) -> f64;
-    fn density(&self, t: f64, p: f64, y: &[f64]) -> f64;
-    fn cp_mass(&self, t: f64, y: &[f64]) -> f64;
-    fn mix_diffusivities(&self, t: f64, p: f64, x: &[f64], out: &mut [f64]);
-    fn mix_conductivity(&self, t: f64, x: &[f64]) -> f64;
-}
-
-struct PortProps<'a> {
-    chem: &'a Rc<dyn ChemistrySourcePort>,
-    transport: &'a Rc<dyn TransportPort>,
-}
-
-impl DiffProps for PortProps<'_> {
-    fn n_species(&self) -> usize {
-        self.chem.n_species()
-    }
-    fn molar_masses(&self, out: &mut [f64]) {
-        self.chem.molar_masses(out);
-    }
-    fn mean_molar_mass(&self, y: &[f64]) -> f64 {
-        self.chem.mean_molar_mass(y)
-    }
-    fn density(&self, t: f64, p: f64, y: &[f64]) -> f64 {
-        self.chem.density(t, p, y)
-    }
-    fn cp_mass(&self, t: f64, y: &[f64]) -> f64 {
-        self.chem.cp_mass(t, y)
-    }
-    fn mix_diffusivities(&self, t: f64, p: f64, x: &[f64], out: &mut [f64]) {
-        self.transport.mix_diffusivities(t, p, x, out);
-    }
-    fn mix_conductivity(&self, t: f64, x: &[f64]) -> f64 {
-        self.transport.mix_conductivity(t, x)
-    }
-}
-
-struct KernelProps {
-    chem: Arc<dyn ChemistryKernel>,
-    transport: Arc<dyn TransportKernel>,
-}
-
-impl DiffProps for KernelProps {
-    fn n_species(&self) -> usize {
-        self.chem.n_species()
-    }
-    fn molar_masses(&self, out: &mut [f64]) {
-        self.chem.molar_masses(out);
-    }
-    fn mean_molar_mass(&self, y: &[f64]) -> f64 {
-        self.chem.mean_molar_mass(y)
-    }
-    fn density(&self, t: f64, p: f64, y: &[f64]) -> f64 {
-        self.chem.density(t, p, y)
-    }
-    fn cp_mass(&self, t: f64, y: &[f64]) -> f64 {
-        self.chem.cp_mass(t, y)
-    }
-    fn mix_diffusivities(&self, t: f64, p: f64, x: &[f64], out: &mut [f64]) {
-        self.transport.mix_diffusivities(t, p, x, out);
-    }
-    fn mix_conductivity(&self, t: f64, x: &[f64]) -> f64 {
-        self.transport.mix_conductivity(t, x)
-    }
-}
-
-/// The 5-point diffusive RHS of one patch — the single copy of the
-/// stencil arithmetic behind both the port and the kernel face, swept in
-/// bands (DESIGN.md §13).
+/// The 5-point diffusive RHS of one patch over the chemistry and
+/// transport kernel snapshots, swept in bands (DESIGN.md §13) — the one
+/// copy of the stencil, called by the `patch-rhs` snapshot, the wall-clock
+/// probes and the bit-identity tests.
 ///
 /// The j-loop is blocked into bands of `cfg.band_rows` interior rows:
 /// production passes [`KernelConfig::UNTILED`], one band over the whole
@@ -112,19 +41,20 @@ impl DiffProps for KernelProps {
 /// band height and pitch. The recomputation is also why banding does not
 /// pay: 2 extra property rows per 16-row band is +12.5 % of the dominant
 /// cost.
-fn diffusion_rhs<P: DiffProps>(
-    props: &P,
+pub fn diffusion_rhs_with_kernels(
+    chem: &Arc<dyn ChemistryKernel>,
+    transport: &Arc<dyn TransportKernel>,
     state: &PatchData,
     rhs: &mut PatchData,
     dx: f64,
     dy: f64,
     cfg: KernelConfig,
 ) {
-    let n = props.n_species();
+    let n = chem.n_species();
     assert_eq!(state.nvars, n, "state layout is {{T, Y1..Y_{{N-1}}}}");
     assert!(state.nghost >= 1);
     let mut w = scratch::take_f64(n);
-    props.molar_masses(&mut w);
+    chem.molar_masses(&mut w);
 
     let int = state.interior;
     let ring = int.grow(1);
@@ -164,15 +94,15 @@ fn diffusion_rhs<P: DiffProps>(
                     bulk -= *yv;
                 }
                 y[n - 1] = bulk;
-                let w_mean = props.mean_molar_mass(&y);
-                let rho = props.density(t, P0, &y);
+                let w_mean = chem.mean_molar_mass(&y);
+                let rho = chem.density(t, P0, &y);
                 for (v, xv) in x.iter_mut().enumerate() {
                     *xv = y[v] * w_mean / w[v];
                 }
-                props.mix_diffusivities(t, P0, &x, &mut d);
+                transport.mix_diffusivities(t, P0, &x, &mut d);
                 let cell = r * nxr + ii;
-                lambda[cell] = props.mix_conductivity(t, &x);
-                let cp = props.cp_mass(t, &y);
+                lambda[cell] = transport.mix_conductivity(t, &x);
+                let cp = chem.cp_mass(t, &y);
                 for (v, di) in d.iter().enumerate() {
                     rho_d[v * rows_cap * nxr + cell] = rho * di;
                 }
@@ -233,35 +163,26 @@ fn diffusion_rhs<P: DiffProps>(
     }
 }
 
-/// The RHS over kernel snapshots: the entry point the worker-thread
-/// face, the wall-clock probes and the bit-identity tests all call.
-pub fn diffusion_rhs_with_kernels(
-    chem: &Arc<dyn ChemistryKernel>,
-    transport: &Arc<dyn TransportKernel>,
-    state: &PatchData,
-    rhs: &mut PatchData,
-    dx: f64,
-    dy: f64,
-    cfg: KernelConfig,
-) {
-    let props = KernelProps {
-        chem: chem.clone(),
-        transport: transport.clone(),
-    };
-    diffusion_rhs(&props, state, rhs, dx, dy, cfg);
-}
-
-/// Worker-thread face: chemistry + transport kernel snapshots and the
-/// shared evaluation counter.
+/// The `patch-rhs` snapshot: chemistry + transport kernel snapshots and
+/// the shared evaluation counter.
 struct DiffusionKernel {
-    props: KernelProps,
+    chem: Arc<dyn ChemistryKernel>,
+    transport: Arc<dyn TransportKernel>,
     evals: Arc<AtomicUsize>,
 }
 
 impl PatchKernel for DiffusionKernel {
     fn eval(&self, state: &PatchData, rhs: &mut PatchData, dx: f64, dy: f64, _t: f64) {
         self.evals.fetch_add(1, Ordering::Relaxed);
-        diffusion_rhs(&self.props, state, rhs, dx, dy, KernelConfig::UNTILED);
+        diffusion_rhs_with_kernels(
+            &self.chem,
+            &self.transport,
+            state,
+            rhs,
+            dx,
+            dy,
+            KernelConfig::UNTILED,
+        );
     }
 
     fn label(&self) -> &'static str {
@@ -283,32 +204,15 @@ impl PatchRhsPort for Inner {
         self.services
             .profiler()
             .add_cells("DiffusionPhysics.patch-rhs", state.interior.count() as u64);
-        // One code path: if the upstream components can snapshot, the
-        // serial call runs the very kernel the executor runs.
-        if let Some(k) = self.patch_kernel() {
-            k.eval(state, rhs, dx, dy, t);
-            return;
-        }
-        self.evals.fetch_add(1, Ordering::Relaxed);
-        let chem = self
-            .services
-            .get_port::<Rc<dyn ChemistrySourcePort>>("chemistry")
-            .expect("DiffusionPhysics needs the chemistry port");
-        let transport = self
-            .services
-            .get_port::<Rc<dyn TransportPort>>("transport")
-            .expect("DiffusionPhysics needs the transport port");
-        diffusion_rhs(
-            &PortProps {
-                chem: &chem,
-                transport: &transport,
-            },
-            state,
-            rhs,
-            dx,
-            dy,
-            KernelConfig::UNTILED,
-        );
+        // The port call runs the very kernel the executor runs.
+        let k = self.patch_kernel().unwrap_or_else(|| {
+            panic!(
+                "{}.patch-rhs: `chemistry` and `transport` must be connected to \
+                 components that hand out kernel snapshots",
+                self.services.instance_name()
+            )
+        });
+        k.eval(state, rhs, dx, dy, t);
     }
 
     fn evals(&self) -> usize {
@@ -328,10 +232,8 @@ impl PatchRhsPort for Inner {
             .get_port::<Rc<dyn TransportPort>>("transport")
             .ok()?;
         let k: Arc<dyn PatchKernel> = Arc::new(DiffusionKernel {
-            props: KernelProps {
-                chem: chem.kernel()?,
-                transport: transport.kernel()?,
-            },
+            chem: chem.kernel()?,
+            transport: transport.kernel()?,
             evals: self.evals.clone(),
         });
         *self.kernel.borrow_mut() = Some(k.clone());

@@ -2,6 +2,10 @@
 //! `States`, `GodunovFlux`, `EFMFlux`, `InviscidFlux` (the adaptor that
 //! "supplies the right-hand-side of the equation, patch-by-patch"),
 //! `CharacteristicQuantities`, and the `GasProperties` database.
+//!
+//! `InviscidFlux` owns no sweep of its own: its `patch-rhs` snapshot runs
+//! `cca_hydro_solver::muscl::muscl_rhs` over the kernel snapshots of the
+//! components connected to its `states` and `flux` ports.
 
 use crate::ports::{
     DataPort, EigenEstimatePort, FluxKernel, FluxPort, MeshPort, PatchKernel, PatchRhsPort,
@@ -9,10 +13,11 @@ use crate::ports::{
 };
 use cca_core::{Component, ParameterPort, ParameterStore, Services};
 use cca_hydro_solver::efm::EfmFlux;
-use cca_hydro_solver::muscl::{interface_states, max_wave_speed};
+use cca_hydro_solver::muscl::{interface_states, max_wave_speed, muscl_rhs};
 use cca_hydro_solver::riemann::GodunovFlux;
-use cca_hydro_solver::{FluxScheme, Limiter, Prim, NVARS};
+use cca_hydro_solver::{FluxScheme, Limiter, Prim};
 use cca_mesh::data::PatchData;
+use cca_mesh::layout::KernelConfig;
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -191,144 +196,15 @@ impl InviscidInner {
     }
 }
 
-fn load(pd: &PatchData, i: i64, j: i64) -> [f64; NVARS] {
-    let mut u = [0.0; NVARS];
-    for (var, uk) in u.iter_mut().enumerate() {
-        *uk = pd.get(var, i, j);
-    }
-    u
-}
-
-fn swap_uv(w: &Prim) -> Prim {
-    Prim {
-        rho: w.rho,
-        u: w.v,
-        v: w.u,
-        p: w.p,
-        zeta: w.zeta,
-    }
-}
-
-/// The reconstruction/flux surface of the sweep, abstracted over port
-/// dispatch vs kernel dispatch — one copy of the arithmetic.
-trait EulerOps {
-    fn reconstruct(
-        &self,
-        b: &[f64; 5],
-        c: &[f64; 5],
-        d: &[f64; 5],
-        e: &[f64; 5],
-        gamma: f64,
-    ) -> (Prim, Prim);
-    fn flux_x(&self, left: &Prim, right: &Prim, gamma: f64) -> [f64; 5];
-}
-
-struct PortOps<'a> {
-    states: &'a Rc<dyn StatesPort>,
-    flux: &'a Rc<dyn FluxPort>,
-}
-
-impl EulerOps for PortOps<'_> {
-    fn reconstruct(
-        &self,
-        b: &[f64; 5],
-        c: &[f64; 5],
-        d: &[f64; 5],
-        e: &[f64; 5],
-        gamma: f64,
-    ) -> (Prim, Prim) {
-        self.states.reconstruct(b, c, d, e, gamma)
-    }
-    fn flux_x(&self, left: &Prim, right: &Prim, gamma: f64) -> [f64; 5] {
-        self.flux.flux_x(left, right, gamma)
-    }
-}
-
-struct KernelOps {
+/// The `patch-rhs` snapshot of `InviscidFlux`: the reconstruction and
+/// flux snapshots of the connected components and γ, captured when the
+/// kernel is handed out. Its `eval` is the workspace's one MUSCL sweep
+/// ([`muscl_rhs`]) instantiated over those two snapshots, so swapping
+/// `GodunovFlux` for `EFMFlux` in the script swaps the flux inside the
+/// sweep.
+struct EulerPatchKernel {
     states: Arc<dyn StatesKernel>,
     flux: Arc<dyn FluxKernel>,
-}
-
-impl EulerOps for KernelOps {
-    fn reconstruct(
-        &self,
-        b: &[f64; 5],
-        c: &[f64; 5],
-        d: &[f64; 5],
-        e: &[f64; 5],
-        gamma: f64,
-    ) -> (Prim, Prim) {
-        self.states.reconstruct(b, c, d, e, gamma)
-    }
-    fn flux_x(&self, left: &Prim, right: &Prim, gamma: f64) -> [f64; 5] {
-        self.flux.flux_x(left, right, gamma)
-    }
-}
-
-/// MUSCL x/y sweeps over one patch — the single copy of the sweep behind
-/// both the port and the kernel face.
-fn inviscid_rhs<O: EulerOps>(
-    ops: &O,
-    gamma: f64,
-    state: &PatchData,
-    rhs: &mut PatchData,
-    dx: f64,
-    dy: f64,
-) {
-    assert!(state.nghost >= 2, "MUSCL needs two ghost layers");
-    let interior = state.interior;
-    for var in 0..NVARS {
-        rhs.fill_var(var, 0.0);
-    }
-    // x sweep — every interface through the States/Flux pair.
-    for j in interior.lo[1]..=interior.hi[1] {
-        for i in interior.lo[0]..=interior.hi[0] + 1 {
-            let (wl, wr) = ops.reconstruct(
-                &load(state, i - 2, j),
-                &load(state, i - 1, j),
-                &load(state, i, j),
-                &load(state, i + 1, j),
-                gamma,
-            );
-            let f = ops.flux_x(&wl, &wr, gamma);
-            for (var, &fv) in f.iter().enumerate() {
-                if interior.contains(i - 1, j) {
-                    rhs.add(var, i - 1, j, -fv / dx);
-                }
-                if interior.contains(i, j) {
-                    rhs.add(var, i, j, fv / dx);
-                }
-            }
-        }
-    }
-    // y sweep with rotated states.
-    for j in interior.lo[1]..=interior.hi[1] + 1 {
-        for i in interior.lo[0]..=interior.hi[0] {
-            let (wl, wr) = ops.reconstruct(
-                &load(state, i, j - 2),
-                &load(state, i, j - 1),
-                &load(state, i, j),
-                &load(state, i, j + 1),
-                gamma,
-            );
-            let fr = ops.flux_x(&swap_uv(&wl), &swap_uv(&wr), gamma);
-            let f = [fr[0], fr[2], fr[1], fr[3], fr[4]];
-            for (var, &fv) in f.iter().enumerate() {
-                if interior.contains(i, j - 1) {
-                    rhs.add(var, i, j - 1, -fv / dy);
-                }
-                if interior.contains(i, j) {
-                    rhs.add(var, i, j, fv / dy);
-                }
-            }
-        }
-    }
-}
-
-/// Worker-thread face of `InviscidFlux`: reconstruction + flux snapshots
-/// and γ captured when the kernel is handed out.
-struct EulerPatchKernel {
-    ops: KernelOps,
     gamma: f64,
     evals: Arc<AtomicUsize>,
 }
@@ -336,7 +212,16 @@ struct EulerPatchKernel {
 impl PatchKernel for EulerPatchKernel {
     fn eval(&self, state: &PatchData, rhs: &mut PatchData, dx: f64, dy: f64, _t: f64) {
         self.evals.fetch_add(1, Ordering::Relaxed);
-        inviscid_rhs(&self.ops, self.gamma, state, rhs, dx, dy);
+        muscl_rhs(
+            state,
+            rhs,
+            dx,
+            dy,
+            self.gamma,
+            |b, c, d, e, gamma| self.states.reconstruct(b, c, d, e, gamma),
+            |left, right, gamma| self.flux.flux_x(left, right, gamma),
+            KernelConfig::UNTILED,
+        );
     }
 
     fn label(&self) -> &'static str {
@@ -350,33 +235,15 @@ impl PatchRhsPort for InviscidInner {
         self.services
             .profiler()
             .add_cells("InviscidFlux.patch-rhs", state.interior.count() as u64);
-        // One code path: if States and the flux component can snapshot,
-        // the serial call runs the very kernel the executor runs.
-        if let Some(k) = self.patch_kernel() {
-            k.eval(state, rhs, dx, dy, t);
-            return;
-        }
-        self.evals.fetch_add(1, Ordering::Relaxed);
-        let states = self
-            .services
-            .get_port::<Rc<dyn StatesPort>>("states")
-            .expect("InviscidFlux needs the States port");
-        let flux = self
-            .services
-            .get_port::<Rc<dyn FluxPort>>("flux")
-            .expect("InviscidFlux needs a flux port");
-        let gamma = self.gamma();
-        inviscid_rhs(
-            &PortOps {
-                states: &states,
-                flux: &flux,
-            },
-            gamma,
-            state,
-            rhs,
-            dx,
-            dy,
-        );
+        // The port call runs the very kernel the executor runs.
+        let k = self.patch_kernel().unwrap_or_else(|| {
+            panic!(
+                "{}.patch-rhs: `states` and `flux` must be connected to \
+                 components that hand out kernel snapshots",
+                self.services.instance_name()
+            )
+        });
+        k.eval(state, rhs, dx, dy, t);
     }
 
     fn evals(&self) -> usize {
@@ -392,10 +259,8 @@ impl PatchRhsPort for InviscidInner {
             .ok()?;
         let flux = self.services.get_port::<Rc<dyn FluxPort>>("flux").ok()?;
         Some(Arc::new(EulerPatchKernel {
-            ops: KernelOps {
-                states: states.kernel()?,
-                flux: flux.kernel()?,
-            },
+            states: states.kernel()?,
+            flux: flux.kernel()?,
             gamma: self.gamma(),
             evals: self.evals.clone(),
         }))

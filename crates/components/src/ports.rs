@@ -27,24 +27,26 @@ use std::sync::Arc;
 //
 // Ports are single-threaded (`Rc<dyn Trait>`): cheap to call, but pinned
 // to the framework thread. The hot loops of the paper's codes, however,
-// are *patch* loops whose iterations are independent — exactly the
-// "computation of the RHS values... performed patch-by-patch" structure
-// the paper exploits for parallelism. To run those loops on the
-// framework's worker pool without breaking the component model, a port
-// may hand out a **kernel**: an immutable `Send + Sync` snapshot of the
-// computation behind the port, safe to invoke from worker threads.
+// are *patch* (and cell) loops whose iterations are independent — exactly
+// the "computation of the RHS values... performed patch-by-patch"
+// structure the paper exploits for parallelism. So every compute port
+// hands out a **kernel**: an immutable `Send + Sync` snapshot of the
+// computation behind the port, safe to invoke from worker threads, and
+// every SAMR sweep runs on snapshots — on the framework's executor, at
+// every worker count (inline at 1). The component boundary is crossed
+// once per sweep, outside the per-cell loop.
 //
-// Two invariants keep the port and kernel faces interchangeable:
-//
-// 1. *Same math*: a component that offers a kernel routes its own port
-//    body through the very same code, so serial (port) and parallel
-//    (kernel) execution are bit-identical.
+// 1. *One sweep*: a component's own port body (`eval_patch`) runs the
+//    snapshot it hands out, so a port call and an executor run are
+//    bit-identical by construction.
 // 2. *Snapshot semantics*: a kernel captures the component's
 //    configuration (tolerances, limiter, γ) at the moment it is handed
 //    out; parameter changes require re-fetching the kernel.
-//
-// Every hook defaults to `None`, so third-party port implementations
-// remain valid and simply run serially.
+// 3. *No silent slow path*: the hooks are required methods. A hook
+//    returns `None` only when the snapshot cannot be built (an upstream
+//    port is unconnected); the consumer reports that as an assembly
+//    error at the point of use. (The `Option` stays in the signatures
+//    because the stand-alone `benchmark/` package compiles against it.)
 
 /// `Send + Sync` face of [`ChemistrySourcePort`]: the thermochemistry
 /// evaluations worker threads need. Call counters behind the snapshot
@@ -86,8 +88,8 @@ pub trait PatchKernel: Send + Sync {
     fn eval(&self, state: &PatchData, rhs: &mut PatchData, dx: f64, dy: f64, t: f64);
 
     /// Profiler timer name for one `eval` — the same `component.port`
-    /// name the providing component's serial path records, so profiles
-    /// stay comparable whichever route a patch took.
+    /// name the providing component's `eval_patch` records, so a direct
+    /// port call and an executor run report under one name.
     fn label(&self) -> &'static str {
         "patch-kernel.eval"
     }
@@ -186,11 +188,8 @@ pub trait OdeIntegratorPort {
     fn set_initial_step(&self, h: Option<f64>);
 
     /// A `Send + Sync` snapshot of this integrator's current
-    /// configuration, for worker-thread cell sweeps. `None` (the
-    /// default) keeps the integration on the framework thread.
-    fn cell_kernel(&self) -> Option<Arc<dyn OdeCellKernel>> {
-        None
-    }
+    /// configuration — what the hierarchy's cell sweep integrates with.
+    fn cell_kernel(&self) -> Option<Arc<dyn OdeCellKernel>>;
 }
 
 /// Chemical source terms and thermodynamic queries — the face of
@@ -237,11 +236,9 @@ pub trait ChemistrySourcePort {
     /// Number of production-rate calls so far (Table 4's NFE per cell).
     fn calls(&self) -> usize;
     /// A `Send + Sync` snapshot of the gas-phase evaluations behind this
-    /// port, sharing its call counter. `None` (the default) disables
-    /// worker-thread chemistry for assemblies using this port.
-    fn kernel(&self) -> Option<Arc<dyn ChemistryKernel>> {
-        None
-    }
+    /// port, sharing its call counter — what the diffusion stencil and the
+    /// chemistry cell sweep evaluate.
+    fn kernel(&self) -> Option<Arc<dyn ChemistryKernel>>;
 }
 
 /// The 0D rigid-vessel pressure closure (the `dPdt` component).
@@ -313,37 +310,14 @@ pub trait DataPort {
     fn axpy(&self, dst: &str, s: f64, src: &str);
     /// Detach the listed patches of `level` as owned [`PatchData`]
     /// values, in `ids` order — the disjoint patch views the parallel
-    /// executor hands to worker threads. Until the matching
-    /// [`DataPort::put_level_patches`], reads of those patches through
-    /// this port see unspecified (implementation-defined) contents.
-    ///
-    /// The default clones patch by patch, correct for any
-    /// implementation; `GrACEComponent` overrides it with a true move
-    /// out of the Data Object (no copy).
-    fn take_level_patches(&self, name: &str, level: usize, ids: &[usize]) -> Vec<PatchData> {
-        let mut out = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let mut taken = None;
-            self.with_patch(name, level, id, &mut |pd| taken = Some(pd.clone()));
-            out.push(taken.expect("with_patch always invokes the closure"));
-        }
-        out
-    }
+    /// executor hands to worker threads: a move out of the Data Object,
+    /// not a copy. Until the matching [`DataPort::put_level_patches`],
+    /// reads of those patches through this port see unspecified
+    /// (implementation-defined) contents.
+    fn take_level_patches(&self, name: &str, level: usize, ids: &[usize]) -> Vec<PatchData>;
     /// Re-attach patches detached by [`DataPort::take_level_patches`]
     /// (same `ids`, same order).
-    fn put_level_patches(&self, name: &str, level: usize, ids: &[usize], patches: Vec<PatchData>) {
-        assert_eq!(
-            ids.len(),
-            patches.len(),
-            "put_level_patches id/patch mismatch"
-        );
-        for (&id, pd) in ids.iter().zip(patches) {
-            let mut slot = Some(pd);
-            self.with_patch_mut(name, level, id, &mut |dst| {
-                *dst = slot.take().expect("closure runs once per patch");
-            });
-        }
-    }
+    fn put_level_patches(&self, name: &str, level: usize, ids: &[usize], patches: Vec<PatchData>);
 }
 
 // ---------------------------------------------------------------------
@@ -359,11 +333,11 @@ pub trait PatchRhsPort {
     /// Number of patch evaluations performed.
     fn evals(&self) -> usize;
     /// A `Send + Sync` snapshot of the evaluation behind this port,
-    /// runnable concurrently on disjoint patches. Shares the `evals`
-    /// counter. `None` (the default) keeps RHS loops serial.
-    fn patch_kernel(&self) -> Option<Arc<dyn PatchKernel>> {
-        None
-    }
+    /// runnable concurrently on disjoint patches — what the time
+    /// integrators' hierarchy sweep runs. Shares the `evals` counter.
+    /// `None` when an upstream port is unconnected or hands out no
+    /// snapshot of its own.
+    fn patch_kernel(&self) -> Option<Arc<dyn PatchKernel>>;
 }
 
 /// Physical boundary rule, applied patch by patch (the paper's Boundary
@@ -409,10 +383,8 @@ pub trait TransportPort {
     /// Upper bound over species diffusivities (RKC spectral radius input).
     fn max_diffusivity(&self, t: f64, p: f64) -> f64;
     /// A `Send + Sync` snapshot of the property evaluations behind this
-    /// port. `None` (the default) keeps transport on the framework thread.
-    fn kernel(&self) -> Option<Arc<dyn TransportKernel>> {
-        None
-    }
+    /// port — what the diffusion stencil evaluates.
+    fn kernel(&self) -> Option<Arc<dyn TransportKernel>>;
 }
 
 /// Slope-limited interface state construction (the `States` component).
@@ -429,10 +401,8 @@ pub trait StatesPort {
     ) -> (cca_hydro_solver::Prim, cca_hydro_solver::Prim);
 
     /// A `Send + Sync` snapshot of the reconstruction (current limiter
-    /// captured). `None` (the default) keeps reconstruction serial.
-    fn kernel(&self) -> Option<Arc<dyn StatesKernel>> {
-        None
-    }
+    /// captured) — what the MUSCL sweep of `InviscidFlux` calls.
+    fn kernel(&self) -> Option<Arc<dyn StatesKernel>>;
 }
 
 /// An interface flux (the `GodunovFlux` / `EFMFlux` components).
@@ -446,11 +416,9 @@ pub trait FluxPort {
     ) -> [f64; 5];
     /// Scheme name (for arena dumps and reports).
     fn scheme_name(&self) -> &'static str;
-    /// A `Send + Sync` snapshot of the flux evaluation. `None` (the
-    /// default) keeps flux evaluation serial.
-    fn kernel(&self) -> Option<Arc<dyn FluxKernel>> {
-        None
-    }
+    /// A `Send + Sync` snapshot of the flux evaluation — what the MUSCL
+    /// sweep of `InviscidFlux` calls.
+    fn kernel(&self) -> Option<Arc<dyn FluxKernel>>;
 }
 
 /// Initial condition application (the Initial Condition subsystem).

@@ -3,8 +3,9 @@
 //! manner (a type-(c) port). The RKC stage recursion runs over a
 //! *flattened view* of the whole hierarchy: each stage's RHS evaluation
 //! scatters the stage vector into the Data Object, refills ghosts (so
-//! patch coupling happens exactly once per stage, as in GrACE), and calls
-//! the connected `PatchRhsPort` one patch at a time.
+//! patch coupling happens exactly once per stage, as in GrACE), and runs
+//! the connected `PatchRhsPort`'s kernel snapshot over the patches on the
+//! framework's executor.
 
 use crate::ports::{
     BoundaryConditionPort, DataPort, EigenEstimatePort, MeshPort, PatchRhsPort, TimeIntegratorPort,
@@ -90,12 +91,12 @@ struct RhsItem {
 /// hierarchy, writing into the `rhs_name` Data Object. Ghosts of
 /// `view.name` must already be filled.
 ///
-/// When the port offers a [`crate::ports::PatchKernel`], the patch loop
-/// runs on the framework's executor: state and RHS patches are detached
-/// as disjoint owned views, evaluated concurrently, and re-attached.
-/// The kernel route is taken at *any* worker count (the executor runs
-/// inline at 1 worker), so results never depend on the worker knob.
-/// Ports without a kernel are evaluated serially, one patch at a time.
+/// The patch loop runs the port's [`crate::ports::PatchKernel`] snapshot
+/// on the framework's executor: state and RHS patches are detached as
+/// disjoint owned views, evaluated concurrently, and re-attached — at
+/// *any* worker count (the executor runs inline at 1 worker), so results
+/// never depend on the worker knob. A port that hands out no snapshot is
+/// a mis-assembled application and panics here, under `label`.
 pub(crate) fn eval_hierarchy_rhs(
     view: &FlatView,
     rhs_port: &Rc<dyn PatchRhsPort>,
@@ -106,87 +107,71 @@ pub(crate) fn eval_hierarchy_rhs(
 ) {
     let mesh = &view.mesh;
     let data = &view.data;
-    let kernel = rhs_port.patch_kernel();
+    let kernel = rhs_port.patch_kernel().unwrap_or_else(|| {
+        panic!("{label}: the component connected to `patch-rhs` hands out no kernel snapshot")
+    });
+    // Run under the kernel's own timer name (the same `component.port`
+    // the port's `eval_patch` records) so profiles read the same whichever
+    // way a patch was evaluated.
+    let run_label = kernel.label();
     for level in 0..mesh.n_levels() {
         let dx = mesh.dx(level);
-        match &kernel {
-            Some(k) => {
-                let descriptors = mesh.patches(level);
-                let ids: Vec<usize> = descriptors.iter().map(|(id, _, _)| *id).collect();
-                if ids.is_empty() {
-                    continue;
-                }
-                // Boundary-adjacent patches (touching a sibling patch or
-                // the level-domain edge) feed the next ghost exchange, so
-                // they start first — shortening the path to the exchange
-                // the same way the distributed sweep overlaps its halo.
-                let domain = mesh.level_domain(level);
-                let adjacency: Vec<i64> = descriptors
+        let descriptors = mesh.patches(level);
+        let ids: Vec<usize> = descriptors.iter().map(|(id, _, _)| *id).collect();
+        if ids.is_empty() {
+            continue;
+        }
+        // Boundary-adjacent patches (touching a sibling patch or the
+        // level-domain edge) feed the next ghost exchange, so they start
+        // first — shortening the path to the exchange the same way the
+        // distributed sweep overlaps its halo.
+        let domain = mesh.level_domain(level);
+        let adjacency: Vec<i64> = descriptors
+            .iter()
+            .enumerate()
+            .map(|(pi, (_, interior, _))| {
+                let ring = interior.grow(1);
+                let edge = !domain.contains_box(&ring);
+                let sibling = descriptors
                     .iter()
                     .enumerate()
-                    .map(|(pi, (_, interior, _))| {
-                        let ring = interior.grow(1);
-                        let edge = !domain.contains_box(&ring);
-                        let sibling = descriptors.iter().enumerate().any(|(qi, (_, other, _))| {
-                            qi != pi && other.intersect(&ring).is_some()
-                        });
-                        (edge || sibling) as i64
-                    })
-                    .collect();
-                let states = data.take_level_patches(&view.name, level, &ids);
-                let rhss = data.take_level_patches(rhs_name, level, &ids);
-                let items: Vec<RhsItem> = states
-                    .into_iter()
-                    .zip(rhss)
-                    .map(|(state, rhs)| RhsItem { state, rhs })
-                    .collect();
-                // Run under the kernel's own timer name (the same
-                // `component.port` the serial port path records) so
-                // profiles read the same whichever route patches took.
-                let run_label = k.label();
-                let cells: u64 = descriptors
-                    .iter()
-                    .map(|(_, interior, _)| interior.count() as u64)
-                    .sum();
-                executor.profiler().add_cells(run_label, cells);
-                let k = k.clone();
-                let report = executor.run_with_priority(
-                    run_label,
-                    items,
-                    |idx, _| adjacency[idx],
-                    move |_worker, item| {
-                        k.eval(&item.state, &mut item.rhs, dx[0], dx[1], t);
-                    },
-                );
-                // A panicking kernel poisons the run; surface it as the
-                // panic the serial path would have raised (patches are
-                // forfeit either way).
-                let items = report
-                    .into_result()
-                    .unwrap_or_else(|e| panic!("{label}: {e}"));
-                let (mut states, mut rhss) = (Vec::new(), Vec::new());
-                for item in items {
-                    states.push(item.state);
-                    rhss.push(item.rhs);
-                }
-                data.put_level_patches(&view.name, level, &ids, states);
-                data.put_level_patches(rhs_name, level, &ids, rhss);
-            }
-            None => {
-                for (id, _, _) in mesh.patches(level) {
-                    // Two-phase: read the state patch (clone), evaluate
-                    // into the scratch RHS patch.
-                    let mut state_copy = None;
-                    data.with_patch(&view.name, level, id, &mut |pd| {
-                        state_copy = Some(pd.clone());
-                    });
-                    let state = state_copy.expect("patch exists");
-                    data.with_patch_mut(rhs_name, level, id, &mut |rhs_pd| {
-                        rhs_port.eval_patch(&state, rhs_pd, dx[0], dx[1], t);
-                    });
-                }
-            }
+                    .any(|(qi, (_, other, _))| qi != pi && other.intersect(&ring).is_some());
+                (edge || sibling) as i64
+            })
+            .collect();
+        let states = data.take_level_patches(&view.name, level, &ids);
+        let rhss = data.take_level_patches(rhs_name, level, &ids);
+        let items: Vec<RhsItem> = states
+            .into_iter()
+            .zip(rhss)
+            .map(|(state, rhs)| RhsItem { state, rhs })
+            .collect();
+        let cells: u64 = descriptors
+            .iter()
+            .map(|(_, interior, _)| interior.count() as u64)
+            .sum();
+        executor.profiler().add_cells(run_label, cells);
+        let k = kernel.clone();
+        let report = executor.run_with_priority(
+            run_label,
+            items,
+            |idx, _| adjacency[idx],
+            move |_worker, item| {
+                k.eval(&item.state, &mut item.rhs, dx[0], dx[1], t);
+            },
+        );
+        // A panicking kernel poisons the run; surface it as a panic of
+        // this call (the detached patches are forfeit either way).
+        let items = report
+            .into_result()
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let (mut states, mut rhss) = (Vec::new(), Vec::new());
+        for item in items {
+            states.push(item.state);
+            rhss.push(item.rhs);
         }
+        data.put_level_patches(&view.name, level, &ids, states);
+        data.put_level_patches(rhs_name, level, &ids, rhss);
     }
 }
 

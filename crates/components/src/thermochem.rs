@@ -4,10 +4,10 @@
 //! Database subsystem, i.e. it holds the gas properties." Here the wrapped
 //! library is `cca-chem`.
 //!
-//! The gas-phase evaluations live in a `Send + Sync` `MechKernel` that
-//! the single-threaded port face delegates to, so the same object (and
-//! the same shared NFE counter) serves both the serial port path and the
-//! parallel executor path.
+//! The gas-phase evaluations live in one `Send + Sync` `MechKernel`: it
+//! is the snapshot `kernel()` hands to the SAMR sweeps, and the port's
+//! own per-call methods (what the 0D assembly calls, vector by vector)
+//! delegate to it, so one object and one shared NFE counter serve both.
 
 use crate::ports::{ChemistryKernel, ChemistrySourcePort};
 use cca_chem::kinetics::Mechanism;
@@ -256,7 +256,7 @@ mod tests {
         let (mut wp, mut wk) = (vec![0.0; n], vec![0.0; n]);
         p.production_rates(1500.0, &c, &mut wp);
         k.production_rates(1500.0, &c, &mut wk);
-        // Same code behind both faces: bit-identical rates...
+        // The port delegates to the kernel: bit-identical rates...
         for (a, b) in wp.iter().zip(&wk) {
             assert_eq!(a.to_bits(), b.to_bits());
         }

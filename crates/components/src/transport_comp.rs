@@ -11,8 +11,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 /// Thread-safe core: the DRFM property fits are immutable data, so the
-/// kernel is the model itself. The port face delegates to it, keeping
-/// serial and worker-thread evaluations on the same code.
+/// kernel is the model itself; the port's own methods delegate to it.
 struct DrfmKernel {
     model: TransportModel,
 }

@@ -2,11 +2,15 @@
 //! band heights × pitch quanta, the banded diffusion RHS and Godunov
 //! flux sweeps reproduce the untiled dense-pitch reference bit-for-bit
 //! at 1, 2, and 4 executor workers (the kernels preserve per-cell
-//! summation order). A last test pins what production runs: the
-//! `DiffusionPhysics` `patch-rhs` port gives the bits of the kernel
-//! entry point at [`KernelConfig::UNTILED`].
+//! summation order). What production runs is pinned too: the
+//! `DiffusionPhysics` and `InviscidFlux` `patch-rhs` ports give the bits
+//! of the library entry points at [`KernelConfig::UNTILED`], the latter
+//! for every flux component × two limiter settings.
 
 use cca_components::diffusion::{diffusion_rhs_with_kernels, DiffusionPhysics};
+use cca_components::euler::{
+    EfmFluxComponent, GasProperties, GodunovFluxComponent, InviscidFluxComponent, StatesComponent,
+};
 use cca_components::ports::{
     ChemistryKernel, ChemistrySourcePort, PatchRhsPort, TransportKernel, TransportPort,
 };
@@ -14,9 +18,10 @@ use cca_components::thermochem::ThermoChemistry;
 use cca_components::transport_comp::DrfmComponent;
 use cca_core::{Executor, Framework, Profiler};
 use cca_hydro_solver::limiter::Limiter;
-use cca_hydro_solver::muscl::compute_rhs_cfg;
+use cca_hydro_solver::muscl::{compute_rhs_cfg, FluxScheme};
 use cca_hydro_solver::riemann::GodunovFlux;
 use cca_hydro_solver::state::{prim_to_cons, Prim, NVARS};
+use cca_hydro_solver::EfmFlux;
 use cca_mesh::{IntBox, KernelConfig, PatchData};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -47,6 +52,36 @@ fn assembly() -> Framework {
     )
     .expect("assembly");
     fw
+}
+
+/// The flux corner of the shock assembly: `States` at `limiter`, the flux
+/// component of `flux_class` and the γ database wired into `InviscidFlux`.
+/// The framework owns the connections, so it is returned with the port.
+fn euler_patch_rhs(flux_class: &str, limiter: f64) -> (Framework, Rc<dyn PatchRhsPort>) {
+    let mut fw = Framework::new();
+    fw.register_class("GasProperties", || Box::<GasProperties>::default());
+    fw.register_class("States", || Box::<StatesComponent>::default());
+    fw.register_class("GodunovFlux", || Box::<GodunovFluxComponent>::default());
+    fw.register_class("EFMFlux", || Box::<EfmFluxComponent>::default());
+    fw.register_class("InviscidFlux", || Box::<InviscidFluxComponent>::default());
+    cca_core::script::run_script(
+        &mut fw,
+        &format!(
+            "instantiate GasProperties gas\n\
+             instantiate States states\n\
+             instantiate {flux_class} flux\n\
+             instantiate InviscidFlux inviscid\n\
+             connect inviscid states states states\n\
+             connect inviscid flux flux flux\n\
+             connect inviscid gas gas gas\n\
+             parameter states limiter {limiter}\n"
+        ),
+    )
+    .expect("assembly");
+    let port = fw
+        .get_provides_port("inviscid", "patch-rhs")
+        .expect("patch-rhs");
+    (fw, port)
 }
 
 /// Chemistry/transport kernel snapshots from the real components,
@@ -229,6 +264,25 @@ proptest! {
                 .expect("kernels do not panic");
             for ((_, rhs), want) in out.iter().zip(&want) {
                 assert_bits_equal(rhs, want)?;
+            }
+        }
+        // What production runs: the `InviscidFlux` port sweeps through the
+        // snapshots of whichever States setting and flux component are
+        // connected, and gives the bits of the library's own instantiation.
+        let schemes: [(&str, &dyn FluxScheme); 2] =
+            [("GodunovFlux", &GodunovFlux), ("EFMFlux", &EfmFlux)];
+        for (flux_class, scheme) in schemes {
+            for (param, limiter) in [(1.0, Limiter::MinMod), (2.0, Limiter::VanLeer)] {
+                let (_fw, port) = euler_patch_rhs(flux_class, param);
+                let state = flux_patch(nx, ny, quantum, seed);
+                let mut want = PatchData::new(state.interior, NVARS, 0);
+                compute_rhs_cfg(
+                    &state, &mut want, dx, dy, gamma, scheme, limiter, KernelConfig::UNTILED,
+                );
+                let mut got = PatchData::new(state.interior, NVARS, 0);
+                port.eval_patch(&state, &mut got, dx, dy, 0.0);
+                assert_bits_equal(&got, &want)?;
+                prop_assert_eq!(port.evals(), 1);
             }
         }
     }

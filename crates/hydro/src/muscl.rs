@@ -1,8 +1,9 @@
 //! MUSCL finite-volume right-hand side on one patch: slope-limited
 //! interface states (the `States` component), a pluggable interface flux
 //! (the `GodunovFlux` / `EFMFlux` components), and the conservative
-//! divergence — assembled patch-by-patch exactly as the paper's
-//! `InviscidFlux` adaptor drives them.
+//! divergence — one sweep ([`muscl_rhs`]), generic over the first two so
+//! that the paper's `InviscidFlux` adaptor runs it over whatever
+//! components are connected to it.
 
 use crate::limiter::Limiter;
 use crate::state::{cons_to_prim, prim_to_cons, Prim, NVARS};
@@ -98,8 +99,14 @@ pub fn interface_states(
 
 /// Accumulate `−∇·F` for every interior cell of `pd` into `rhs` (same
 /// interior box, zero ghosts needed). `pd` must have ≥ 2 filled ghost
-/// layers. `dx`/`dy` are this level's cell sizes. The one MUSCL sweep
-/// (DESIGN.md §13).
+/// layers. `dx`/`dy` are this level's cell sizes. The one MUSCL sweep of
+/// the workspace (DESIGN.md §13), generic over the two operations the
+/// paper makes swappable components: `reconstruct` (the `States`
+/// component; arguments as [`interface_states`] without the limiter) and
+/// `flux_x` (`GodunovFlux` / `EFMFlux`; as [`FluxScheme::flux_x`]).
+/// [`compute_rhs_cfg`] instantiates it with this crate's own functions,
+/// the `InviscidFlux` component with the kernel snapshots of whatever is
+/// connected to its `states` and `flux` ports.
 ///
 /// The j-loop is blocked into bands of `cfg.band_rows` rows
 /// ([`KernelConfig::UNTILED`] is one band); within a band the
@@ -112,14 +119,20 @@ pub fn interface_states(
 /// variable over dense row slices (bounds hoisted, no per-cell
 /// `contains` branches).
 #[allow(clippy::too_many_arguments)]
-pub fn compute_rhs_cfg(
+pub fn muscl_rhs(
     pd: &PatchData,
     rhs: &mut PatchData,
     dx: f64,
     dy: f64,
     gamma: f64,
-    scheme: &dyn FluxScheme,
-    limiter: Limiter,
+    reconstruct: impl Fn(
+        &[f64; NVARS],
+        &[f64; NVARS],
+        &[f64; NVARS],
+        &[f64; NVARS],
+        f64,
+    ) -> (Prim, Prim),
+    flux_x: impl Fn(&Prim, &Prim, f64) -> [f64; NVARS],
     cfg: KernelConfig,
 ) {
     assert!(pd.nghost >= 2, "MUSCL needs two ghost layers");
@@ -150,8 +163,8 @@ pub fn compute_rhs_cfg(
                 let c: [f64; NVARS] = std::array::from_fn(|var| rows[var][s - 1]);
                 let d: [f64; NVARS] = std::array::from_fn(|var| rows[var][s]);
                 let e: [f64; NVARS] = std::array::from_fn(|var| rows[var][s + 1]);
-                let (wl, wr) = interface_states(&b, &c, &d, &e, gamma, limiter);
-                fx[ii * NVARS..(ii + 1) * NVARS].copy_from_slice(&scheme.flux_x(&wl, &wr, gamma));
+                let (wl, wr) = reconstruct(&b, &c, &d, &e, gamma);
+                fx[ii * NVARS..(ii + 1) * NVARS].copy_from_slice(&flux_x(&wl, &wr, gamma));
             }
             // Per cell and variable: += f_i/dx, then -= f_{i+1}/dx (the
             // seed's two rounded operations, in the seed's order).
@@ -178,8 +191,8 @@ pub fn compute_rhs_cfg(
                 let c: [f64; NVARS] = std::array::from_fn(|var| c_r[var][s]);
                 let d: [f64; NVARS] = std::array::from_fn(|var| d_r[var][s]);
                 let e: [f64; NVARS] = std::array::from_fn(|var| e_r[var][s]);
-                let (wl, wr) = interface_states(&b, &c, &d, &e, gamma, limiter);
-                let f_rot = scheme.flux_x(&swap_uv(&wl), &swap_uv(&wr), gamma);
+                let (wl, wr) = reconstruct(&b, &c, &d, &e, gamma);
+                let f_rot = flux_x(&swap_uv(&wl), &swap_uv(&wr), gamma);
                 // Rotate the momentum components back.
                 let f = [f_rot[0], f_rot[2], f_rot[1], f_rot[3], f_rot[4]];
                 fy[ii * NVARS..(ii + 1) * NVARS].copy_from_slice(&f);
@@ -201,6 +214,32 @@ pub fn compute_rhs_cfg(
         }
         j0 = j1 + 1;
     }
+}
+
+/// [`muscl_rhs`] with this crate's reconstruction at `limiter` and the
+/// flux of `scheme` — the entry point the wall-clock probes, the limiter
+/// ablation and the bit-identity tests call.
+#[allow(clippy::too_many_arguments)]
+pub fn compute_rhs_cfg(
+    pd: &PatchData,
+    rhs: &mut PatchData,
+    dx: f64,
+    dy: f64,
+    gamma: f64,
+    scheme: &dyn FluxScheme,
+    limiter: Limiter,
+    cfg: KernelConfig,
+) {
+    muscl_rhs(
+        pd,
+        rhs,
+        dx,
+        dy,
+        gamma,
+        |b, c, d, e, g| interface_states(b, c, d, e, g, limiter),
+        |left, right, g| scheme.flux_x(left, right, g),
+        cfg,
+    );
 }
 
 /// Largest signal speed over the interior of a patch (per axis scaled by

@@ -143,11 +143,7 @@ pub fn rebalance_hierarchy(
     let level_loads = assign_hierarchy(hier, work, nranks, affinity_tolerance);
     let mut moves = Vec::new();
     for &(level, id, from) in prev_owner {
-        let Some(patch) = hier
-            .levels
-            .get(level)
-            .and_then(|l| l.patches.iter().find(|p| p.id == id))
-        else {
+        let Some(patch) = hier.patch(level, id) else {
             continue; // regrid dropped the patch; nothing to migrate
         };
         if patch.owner != from {
@@ -275,11 +271,7 @@ mod tests {
         assert!(moves.iter().all(|m| m.id != 999));
         // Moves agree with the post-assignment owners.
         for m in &moves {
-            let p = h.levels[m.level]
-                .patches
-                .iter()
-                .find(|p| p.id == m.id)
-                .unwrap();
+            let p = h.patch(m.level, m.id).unwrap();
             assert_eq!(p.owner, m.to);
         }
     }

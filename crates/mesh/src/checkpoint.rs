@@ -38,7 +38,7 @@ pub fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
 const RECORD_OVERHEAD: usize = 8 + 8 + 8 + 32 + 8;
 
 /// Upper bound accepted for a record's length prefix; anything larger is
-/// reported as corruption instead of attempted as an allocation.
+/// reported as corruption without reading further.
 const RECORD_MAX: usize = 1 << 32;
 
 /// Upper bound accepted for a level count read from a stream.
@@ -138,9 +138,12 @@ fn put_box(w: &mut impl Write, b: &IntBox) -> io::Result<()> {
 fn get_box(r: &mut impl Read) -> Result<IntBox, CheckpointError> {
     let lo = [get_i64(r)?, get_i64(r)?];
     let hi = [get_i64(r)?, get_i64(r)?];
-    if lo[0] > hi[0] || lo[1] > hi[1] {
+    // `hi − lo + 1` must be a positive i64 on both axes: everything
+    // downstream (`nx`, `count`, `grow`) computes it unchecked.
+    let extent = |axis: usize| hi[axis].checked_sub(lo[axis])?.checked_add(1);
+    if !(0..2).all(|axis| extent(axis).is_some_and(|n| n >= 1)) {
         return Err(CheckpointError::Corrupt(format!(
-            "inverted box {lo:?}..{hi:?}"
+            "box {lo:?}..{hi:?} is inverted or its extent overflows"
         )));
     }
     Ok(IntBox::new(lo, hi))
@@ -222,8 +225,8 @@ pub fn patch_from_bytes(
             RECORD_OVERHEAD + 8
         )));
     }
-    let mut body = vec![0u8; len - 8];
-    r.read_exact(&mut body)?;
+    // The prefix is a claim: the buffer grows with the bytes that arrive.
+    let body = get_bytes(r, len - 8)?;
     let (payload, tail) = body.split_at(body.len() - 8);
     let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
     let computed = fnv1a64(FNV1A_INIT, payload);
@@ -236,10 +239,11 @@ pub fn patch_from_bytes(
     let level = get_u64(&mut p)? as usize;
     let id = get_u64(&mut p)? as usize;
     let interior = get_box(&mut p)?;
-    let want = patch_record_len(&interior, nvars, nghost);
-    if want != len {
+    let want = checked_data_len(&interior, nvars, nghost)
+        .and_then(|data| data.checked_add(RECORD_OVERHEAD));
+    if want != Some(len) {
         return Err(CheckpointError::Corrupt(format!(
-            "record length {len} does not match geometry ({want} bytes for \
+            "record length {len} does not match geometry ({want:?} bytes for \
              box {:?}..{:?}, {nvars} vars, {nghost} ghosts)",
             interior.lo, interior.hi
         )));
@@ -580,6 +584,17 @@ mod tests {
             assert_eq!(&pd, dobj.patch(level, id).unwrap());
         }
         assert!(r.is_empty(), "trailing bytes after last record");
+        // Every proper prefix of the two-record payload runs out of input
+        // in one of the records: a typed error, never a panic.
+        assert_eq!(expect.len(), 2);
+        for keep in 0..buf.len() {
+            let mut r = &buf[..keep];
+            let err = patch_from_bytes(&mut r, dobj.nvars, dobj.nghost)
+                .and_then(|_| patch_from_bytes(&mut r, dobj.nvars, dobj.nghost))
+                .err()
+                .unwrap();
+            assert!(matches!(err, CheckpointError::Io(_)), "keep {keep}: {err}");
+        }
     }
 
     #[test]
@@ -595,24 +610,6 @@ mod tests {
         let err = patch_from_bytes(&mut buf.as_slice(), 2, 1).err().unwrap();
         assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
         assert!(err.to_string().contains("checksum"), "{err}");
-    }
-
-    #[test]
-    fn truncated_patch_record_rejected_not_panicking() {
-        let (hier, objects) = sample();
-        let dobj = objects.get("state").unwrap();
-        let id0 = hier.levels[0].patches[0].id;
-        let mut buf = Vec::new();
-        patch_to_bytes(0, id0, dobj.patch(0, id0).unwrap(), &mut buf);
-        for keep in [4usize, 9, buf.len() / 2, buf.len() - 1] {
-            let mut cut = buf.clone();
-            cut.truncate(keep);
-            let err = patch_from_bytes(&mut cut.as_slice(), 2, 1).err().unwrap();
-            assert!(
-                matches!(err, CheckpointError::Io(_) | CheckpointError::Corrupt(_)),
-                "keep {keep}: {err}"
-            );
-        }
     }
 
     #[test]
@@ -716,6 +713,43 @@ mod tests {
             let mut bad = good.clone();
             bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
             rejected(&bad, why);
+        }
+    }
+
+    #[test]
+    fn hostile_patch_records_are_typed_errors_not_allocations() {
+        // 16 bytes that declare a 4 GiB record: the stream runs out, the
+        // declared size is never allocated.
+        let mut declared = Vec::new();
+        put_u64(&mut declared, RECORD_MAX as u64).unwrap();
+        put_u64(&mut declared, 0).unwrap();
+        let err = patch_from_bytes(&mut declared.as_slice(), 1, 0)
+            .err()
+            .unwrap();
+        assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+        // An intact record (checksum passes) around a box whose extent
+        // overflows i64; the same box as a checkpoint's level-0 domain.
+        let all = IntBox::new([i64::MIN; 2], [i64::MAX; 2]);
+        let mut record = Vec::new();
+        put_u64(&mut record, (RECORD_OVERHEAD + 8) as u64).unwrap();
+        put_u64(&mut record, 0).unwrap(); // level
+        put_u64(&mut record, 7).unwrap(); // id
+        put_box(&mut record, &all).unwrap();
+        put_f64(&mut record, 1.0).unwrap();
+        let sum = fnv1a64(FNV1A_INIT, &record[8..]);
+        put_u64(&mut record, sum).unwrap();
+        let mut header = Vec::new();
+        header.extend_from_slice(MAGIC);
+        put_u32(&mut header, VERSION).unwrap();
+        put_box(&mut header, &all).unwrap();
+        for err in [
+            patch_from_bytes(&mut record.as_slice(), 1, 0)
+                .err()
+                .unwrap(),
+            read_checkpoint(&mut header.as_slice()).err().unwrap(),
+        ] {
+            assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+            assert!(err.to_string().contains("overflows"), "{err}");
         }
     }
 

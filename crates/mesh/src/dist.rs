@@ -203,13 +203,7 @@ impl DistributedHierarchy {
 
     /// Owner rank of patch `id` on `level`, if the patch exists.
     pub fn owner(&self, level: usize, id: usize) -> Option<usize> {
-        self.hier
-            .levels
-            .get(level)?
-            .patches
-            .iter()
-            .find(|p| p.id == id)
-            .map(|p| p.owner)
+        self.hier.patch(level, id).map(|p| p.owner)
     }
 
     /// `(level, id, owner)` for every patch — the `prev_owner` input of a
@@ -334,11 +328,9 @@ impl DistributedHierarchy {
                     .filter(|t| t.0 == donor)
                     .map(|t| (t.1, t.2))
                     .collect();
-                let donor_owner = coarse
-                    .iter()
-                    .find(|q| q.id == donor)
-                    .expect("donor came from this list")
-                    .owner;
+                let donor_owner = self
+                    .owner(level - 1, donor)
+                    .expect("donor came from this level");
                 if donor_owner != p.owner {
                     plan.ships.push(DonorShip {
                         src: donor_owner,
@@ -408,13 +400,11 @@ pub fn ship_groups(
     let ends: Vec<(usize, usize, usize)> = ships
         .iter()
         .map(|s| {
-            let interior = dh.hier.levels[donor_level]
-                .patches
-                .iter()
-                .find(|p| p.id == s.donor)
-                .expect("shipped donor exists")
-                .interior;
-            let total = interior.grow(nghost);
+            let donor = dh
+                .hier
+                .patch(donor_level, s.donor)
+                .expect("shipped donor exists");
+            let total = donor.interior.grow(nghost);
             (s.src, s.dst, nvars * total.count() as usize)
         })
         .collect();
@@ -495,19 +485,15 @@ pub fn exchange_same_level(
             .unpack(&x.region, &strip);
     }
     // Remote windows, group order then manifest order within the group.
-    for (gi, payload) in received {
-        let g = &groups[gi];
-        let mut off = 0usize;
-        for &xi in &g.xfers {
-            let x = &xfers[xi];
-            let pd = dobj
-                .patch_mut(level, x.recv)
-                .expect("receiver stored locally");
-            let n = pd.nvars * x.region.count() as usize;
-            pd.unpack(&x.region, &payload[off..off + n]);
-            off += n;
-        }
-    }
+    for_each_received(groups, received, |xi, rest| {
+        let x = &xfers[xi];
+        let pd = dobj
+            .patch_mut(level, x.recv)
+            .expect("receiver stored locally");
+        let n = pd.nvars * x.region.count() as usize;
+        pd.unpack(&x.region, &rest[..n]);
+        n
+    });
 }
 
 /// Distributed coarse-fine ghost fill: ship the cross-rank coarse donors
@@ -524,41 +510,15 @@ pub fn exchange_coarse_fine(
 ) {
     let rank = comm.rank();
     let ratio = dh.hier.ratio;
-    let nghost = dobj.nghost;
-    let nvars = dobj.nvars;
-    let received = exchange_f64(comm, groups, TAG_COARSE_FINE, |xi, buf| {
-        let ship = &plan.ships[xi];
-        let donor = dobj
-            .patch(level - 1, ship.donor)
-            .expect("shipped donor stored locally");
-        let total = donor.total_box();
-        let n = nvars * total.count() as usize;
-        let off = buf.len();
-        buf.resize(off + n, 0.0);
-        donor.pack_into(&total, &mut buf[off..]);
-    });
-    // Reconstruct shipped donors as full PatchData so prolongation clamps
-    // against the identical ghost-padded box a local donor presents.
-    let mut remote: BTreeMap<usize, PatchData> = BTreeMap::new();
-    for (gi, payload) in received {
-        let g = &groups[gi];
-        let mut off = 0usize;
-        for &xi in &g.xfers {
-            let ship = &plan.ships[xi];
-            let interior = dh.hier.levels[level - 1]
-                .patches
-                .iter()
-                .find(|p| p.id == ship.donor)
-                .expect("shipped donor exists")
-                .interior;
-            let mut pd = PatchData::new(interior, nvars, nghost);
-            let total = pd.total_box();
-            let n = nvars * total.count() as usize;
-            pd.unpack(&total, &payload[off..off + n]);
-            off += n;
-            remote.insert(ship.donor, pd);
-        }
-    }
+    let remote = ship_donors(
+        comm,
+        dh,
+        dobj,
+        level - 1,
+        &plan.ships,
+        groups,
+        TAG_COARSE_FINE,
+    );
     for fill in &plan.fills {
         if dh.owner(level, fill.fine) != Some(rank) {
             continue;
@@ -635,19 +595,15 @@ pub fn exchange_restrict(
             .expect("both stored locally");
         crate::interp::restrict_average(coarse_pd, fine_pd, &x.region, ratio);
     }
-    for (gi, payload) in received {
-        let g = &groups[gi];
-        let mut off = 0usize;
-        for &xi in &g.xfers {
-            let x = &xfers[xi];
-            let pd = dobj
-                .patch_mut(fine_level - 1, x.coarse)
-                .expect("coarse stored locally");
-            let n = nvars * x.region.count() as usize;
-            pd.unpack(&x.region, &payload[off..off + n]);
-            off += n;
-        }
-    }
+    for_each_received(groups, received, |xi, rest| {
+        let x = &xfers[xi];
+        let pd = dobj
+            .patch_mut(fine_level - 1, x.coarse)
+            .expect("coarse stored locally");
+        let n = nvars * x.region.count() as usize;
+        pd.unpack(&x.region, &rest[..n]);
+        n
+    });
 }
 
 /// Coalesced wire groups for a migration: one message per `(src, dst)`
@@ -662,13 +618,12 @@ pub fn migration_groups(
     let ends: Vec<(usize, usize, usize)> = moves
         .iter()
         .map(|m| {
-            let interior = dh.hier.levels[m.level]
-                .patches
-                .iter()
-                .find(|p| p.id == m.id)
-                .expect("moved patch exists")
-                .interior;
-            (m.from, m.to, patch_record_len(&interior, nvars, nghost))
+            let moved = dh.hier.patch(m.level, m.id).expect("moved patch exists");
+            (
+                m.from,
+                m.to,
+                patch_record_len(&moved.interior, nvars, nghost),
+            )
         })
         .collect();
     group_xfers(&ends)
@@ -943,37 +898,15 @@ pub fn execute_regrid(
 
     // Epoch 2: ship cross-rank coarse donors, then prolong.
     let ship_gs = ship_groups(dh, &plan.prolong_ships, plan.level, nvars, nghost);
-    let received = exchange_f64(comm, &ship_gs, TAG_PROLONG, |xi, buf| {
-        let ship = &plan.prolong_ships[xi];
-        let donor = dobj
-            .patch(plan.level, ship.donor)
-            .expect("shipped donor stored locally");
-        let total = donor.total_box();
-        let n = nvars * total.count() as usize;
-        let off = buf.len();
-        buf.resize(off + n, 0.0);
-        donor.pack_into(&total, &mut buf[off..]);
-    });
-    let mut remote: BTreeMap<usize, PatchData> = BTreeMap::new();
-    for (gi, payload) in received {
-        let g = &ship_gs[gi];
-        let mut off = 0usize;
-        for &xi in &g.xfers {
-            let ship = &plan.prolong_ships[xi];
-            let interior = dh.hier.levels[plan.level]
-                .patches
-                .iter()
-                .find(|p| p.id == ship.donor)
-                .expect("shipped donor exists")
-                .interior;
-            let mut pd = PatchData::new(interior, nvars, nghost);
-            let total = pd.total_box();
-            let n = nvars * total.count() as usize;
-            pd.unpack(&total, &payload[off..off + n]);
-            off += n;
-            remote.insert(ship.donor, pd);
-        }
-    }
+    let remote = ship_donors(
+        comm,
+        dh,
+        dobj,
+        plan.level,
+        &plan.prolong_ships,
+        &ship_gs,
+        TAG_PROLONG,
+    );
     for fill in &plan.prolong {
         if dh.owner(fine_level, fill.fine) != Some(rank) {
             continue;
@@ -1012,19 +945,71 @@ pub fn execute_regrid(
             .expect("receiver stored locally")
             .copy_from(old, &x.region);
     }
+    for_each_received(&copy_gs, received, |xi, rest| {
+        let x = &plan.old_copies[xi];
+        let pd = dobj
+            .patch_mut(fine_level, x.recv)
+            .expect("receiver stored locally");
+        let n = nvars * x.region.count() as usize;
+        pd.unpack(&x.region, &rest[..n]);
+        n
+    });
+}
+
+/// Walk the payloads [`exchange_f64`] received, group order then manifest
+/// order within a group: `visit(xi, rest)` consumes manifest entry `xi`'s
+/// values from the front of `rest` and returns how many it took.
+fn for_each_received(
+    groups: &[MsgGroup],
+    received: BTreeMap<usize, Vec<f64>>,
+    mut visit: impl FnMut(usize, &[f64]) -> usize,
+) {
     for (gi, payload) in received {
-        let g = &copy_gs[gi];
         let mut off = 0usize;
-        for &xi in &g.xfers {
-            let x = &plan.old_copies[xi];
-            let pd = dobj
-                .patch_mut(fine_level, x.recv)
-                .expect("receiver stored locally");
-            let n = nvars * x.region.count() as usize;
-            pd.unpack(&x.region, &payload[off..off + n]);
-            off += n;
+        for &xi in &groups[gi].xfers {
+            off += visit(xi, &payload[off..]);
         }
     }
+}
+
+/// Ship the cross-rank donors of `ships` whole and rebuild each arrival,
+/// keyed by donor id, as a full `PatchData`, so prolongation clamps
+/// against the identical ghost-padded box a local donor presents.
+fn ship_donors(
+    comm: &Communicator,
+    dh: &DistributedHierarchy,
+    dobj: &DataObject,
+    donor_level: usize,
+    ships: &[DonorShip],
+    groups: &[MsgGroup],
+    tag: u64,
+) -> BTreeMap<usize, PatchData> {
+    let (nvars, nghost) = (dobj.nvars, dobj.nghost);
+    let received = exchange_f64(comm, groups, tag, |xi, buf| {
+        let donor = dobj
+            .patch(donor_level, ships[xi].donor)
+            .expect("shipped donor stored locally");
+        let total = donor.total_box();
+        let off = buf.len();
+        buf.resize(off + nvars * total.count() as usize, 0.0);
+        donor.pack_into(&total, &mut buf[off..]);
+    });
+    let mut remote = BTreeMap::new();
+    for_each_received(groups, received, |xi, rest| {
+        let donor = ships[xi].donor;
+        let interior = dh
+            .hier
+            .patch(donor_level, donor)
+            .expect("shipped donor exists")
+            .interior;
+        let mut pd = PatchData::new(interior, nvars, nghost);
+        let total = pd.total_box();
+        let n = nvars * total.count() as usize;
+        pd.unpack(&total, &rest[..n]);
+        remote.insert(donor, pd);
+        n
+    });
+    remote
 }
 
 #[cfg(test)]

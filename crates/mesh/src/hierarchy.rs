@@ -99,6 +99,11 @@ impl Hierarchy {
         self.levels.len()
     }
 
+    /// Patch `id` of `level`, if both exist.
+    pub fn patch(&self, level: usize, id: usize) -> Option<&Patch> {
+        self.levels.get(level)?.patches.iter().find(|p| p.id == id)
+    }
+
     /// The domain box of `level` (level 0 domain refined `level` times).
     pub fn level_domain(&self, level: usize) -> IntBox {
         let mut d = self.domain0;

@@ -6,9 +6,9 @@
 //! one worker, and the kernel route is taken at *any* worker count — so
 //! the worker knob must never change the numbers. These tests pin that
 //! down end-to-end: the flame assembly (chemistry + diffusion kernels)
-//! must be bit-identical at 1 vs N workers, the shock assembly (Euler
-//! flux kernel under RK2) must agree to round-off, and a panicking
-//! kernel must poison the run without hanging or losing patches.
+//! and the shock assembly (Euler flux kernel under RK2) must be
+//! bit-identical at 1 vs N workers, and a panicking kernel must poison
+//! the run without hanging or losing patches.
 
 use cca_hydro::apps::reaction_diffusion::{rd_framework, rd_script, RdConfig, RdReport};
 use cca_hydro::apps::shock_interface::{shock_framework, shock_script, ShockConfig, ShockReport};
@@ -65,9 +65,8 @@ fn run_shock(workers: usize, cfg: &ShockConfig) -> ShockReport {
 }
 
 /// Chemistry (ImplicitIntegrator cell sweep) and diffusion (RKC patch
-/// RHS) both run through `Send + Sync` kernel snapshots of the exact
-/// port-path arithmetic, so a parallel flame run must reproduce the
-/// serial fields bit for bit.
+/// RHS) both run on `Send + Sync` kernel snapshots at every worker count,
+/// so a parallel flame run must reproduce the serial fields bit for bit.
 #[test]
 fn flame_fields_bit_identical_across_worker_counts() {
     let base = RdConfig {
@@ -161,8 +160,9 @@ fn single_patch_chemistry_sweep_uses_every_worker() {
 }
 
 /// The Euler flux kernel snapshots the States limiter and γ per RHS
-/// evaluation; patches come back in submission order, so the shock run
-/// agrees with serial to round-off (and, with this executor, exactly).
+/// evaluation, every patch runs the one MUSCL sweep on whichever worker
+/// takes it, and patches come back in submission order: the shock run is
+/// bit-identical at every worker count.
 #[test]
 fn shock_fields_match_across_worker_counts() {
     let cfg = ShockConfig {
@@ -174,26 +174,30 @@ fn shock_fields_match_across_worker_counts() {
     };
     let serial = run_shock(1, &cfg);
     assert!(serial.steps > 0);
-    let par = run_shock(3, &cfg);
-    assert_eq!(serial.steps, par.steps);
-    assert_eq!(serial.final_patches, par.final_patches);
-    assert_eq!(serial.final_density.len(), par.final_density.len());
-    for (s, p) in serial.final_density.iter().zip(&par.final_density) {
-        let tol = 1e-12 * (1.0 + s.2.abs());
-        assert!(
-            (s.2 - p.2).abs() <= tol,
-            "rho at {:?}: {} vs {}",
-            (s.0, s.1),
-            s.2,
-            p.2
+    for workers in [2, 4] {
+        let par = run_shock(workers, &cfg);
+        assert_eq!(serial.steps, par.steps, "w={workers}");
+        assert_eq!(serial.final_patches, par.final_patches, "w={workers}");
+        assert_eq!(serial.final_density.len(), par.final_density.len());
+        for (s, p) in serial.final_density.iter().zip(&par.final_density) {
+            assert_eq!((s.0, s.1), (p.0, p.1), "w={workers}");
+            assert_eq!(s.2.to_bits(), p.2.to_bits(), "w={workers}: rho at {s:?}");
+        }
+        assert_eq!(
+            serial.circulation_series.len(),
+            par.circulation_series.len()
         );
-    }
-    for (s, p) in serial
-        .circulation_series
-        .iter()
-        .zip(&par.circulation_series)
-    {
-        assert!((s.1 - p.1).abs() <= 1e-10 * (1.0 + s.1.abs()));
+        for (s, p) in serial
+            .circulation_series
+            .iter()
+            .zip(&par.circulation_series)
+        {
+            assert_eq!(
+                s.1.to_bits(),
+                p.1.to_bits(),
+                "w={workers}: circulation {s:?}"
+            );
+        }
     }
 }
 
