@@ -30,6 +30,13 @@ echo "== determinism lint (no hash-ordered iteration in hot paths)"
 echo "== panic-budget lint (panic sites per crate vs scripts/panic_budget.txt)"
 ./scripts/lint_panics.sh
 
+echo "== wire lint (bytes are decoded by cca_mesh::wire::Reader and nowhere else)"
+if grep -rn --include='*.rs' 'from_le_bytes' crates/*/src | grep -v '^crates/mesh/src/wire\.rs:'; then
+  echo "wire lint: from_le_bytes outside crates/mesh/src/wire.rs; read through" >&2
+  echo "  wire::Reader so the new decoder is total on hostile bytes too" >&2
+  exit 1
+fi
+
 echo "== assembly lint (cca-analyze over the three app scripts)"
 cargo run -q --example cca_lint -- --apps
 

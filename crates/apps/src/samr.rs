@@ -23,12 +23,14 @@
 
 use cca_analyze::commplan::CommPlan;
 use cca_analyze::distplan::PlanBuilder;
+use cca_ckpt::CkptError;
 use cca_comm::{scmd, ClusterModel, Communicator};
 use cca_mesh::boxes::IntBox;
 use cca_mesh::data::DataObject;
 use cca_mesh::dist::{self, DistributedHierarchy};
 use cca_mesh::hierarchy::{Hierarchy, Patch};
 use cca_mesh::regrid::RegridParams;
+use cca_mesh::wire;
 
 /// Variables per mesh point (temperature plus a reduced species set).
 pub const NVARS: usize = 5;
@@ -102,8 +104,7 @@ impl SamrConfig {
     /// excluded: none of them influences a single field bit, and an
     /// elastic restart changes `ranks` by design.
     pub fn state_hash(&self) -> u64 {
-        use cca_mesh::checkpoint::{fnv1a64, FNV1A_INIT};
-        let mut h = FNV1A_INIT;
+        let mut h = wire::FNV1A_INIT;
         for word in [
             self.nx as u64,
             self.patch_split as u64,
@@ -113,7 +114,7 @@ impl SamrConfig {
             self.threshold.to_bits(),
             self.fine_weight.to_bits(),
         ] {
-            h = fnv1a64(h, &word.to_le_bytes());
+            h = wire::fnv1a64(h, &word.to_le_bytes());
         }
         h
     }
@@ -177,15 +178,21 @@ struct RankOut {
 /// field bits, never on these counters.)
 fn driver_part(regrids: usize, migrations: usize) -> (String, Vec<u8>) {
     let mut blob = Vec::with_capacity(16);
-    blob.extend_from_slice(&(regrids as u64).to_le_bytes());
-    blob.extend_from_slice(&(migrations as u64).to_le_bytes());
+    wire::put_u64(&mut blob, regrids as u64);
+    wire::put_u64(&mut blob, migrations as u64);
     ("driver".to_string(), blob)
 }
 
-fn read_driver_part(set: &cca_ckpt::CheckpointSet) -> (usize, usize) {
-    let blob = set.part("driver").expect("samr sets carry driver state");
-    let word = |k: usize| u64::from_le_bytes(blob[8 * k..8 * k + 8].try_into().expect("8 bytes"));
-    (word(0) as usize, word(1) as usize)
+/// The counters [`driver_part`] saved. The set is job input: a missing,
+/// short or over-long part is a typed error.
+fn read_driver_part(set: &cca_ckpt::CheckpointSet) -> Result<(usize, usize), CkptError> {
+    let blob = set
+        .part("driver")
+        .ok_or_else(|| CkptError::Corrupt("set carries no driver part".into()))?;
+    let mut r = wire::Reader(blob);
+    let counters = (r.index()?, r.index()?);
+    r.finish("the driver counters")?;
+    Ok(counters)
 }
 
 /// The level-0 hierarchy: `nx × nx` cells tiled into
@@ -515,9 +522,8 @@ fn rank_main(comm: &Communicator, cfg: &SamrConfig, harness: &CkptHarness) -> Ra
                 .get(1)
                 .map(|l| l.patches.iter().map(|p| p.interior.count()).sum())
                 .unwrap_or(0);
-            let (r, m) = read_driver_part(set);
-            regrids = r;
-            migrations = m;
+            (regrids, migrations) = read_driver_part(set)
+                .unwrap_or_else(|e| panic!("checkpoint set rejected on resume: {e}"));
             (dh, dobj, set.meta.step as usize, fc)
         }
         None => {
@@ -719,5 +725,41 @@ mod tests {
         assert_eq!(r1.final_max.to_bits(), r2.final_max.to_bits());
         assert_eq!(r1.fine_cells, r2.fine_cells);
         assert_eq!(r1.regrids, r2.regrids);
+    }
+
+    #[test]
+    fn driver_part_roundtrips_and_a_hostile_one_is_a_typed_error() {
+        let cfg = SamrConfig::default();
+        let hier = base_hierarchy(&cfg);
+        let mut dobj = DataObject::new(NVARS, NGHOST);
+        for p in &hier.levels[0].patches {
+            dobj.allocate(0, p.id, p.interior);
+        }
+        let meta = cca_ckpt::CkptMeta {
+            step: 2,
+            config_hash: cfg.state_hash(),
+            nvars: NVARS,
+            nghost: NGHOST,
+        };
+        let set_with = |parts| cca_ckpt::CheckpointSet::from_local(1, meta, &hier, &dobj, parts);
+        let good = set_with(vec![driver_part(3, 11)]).unwrap();
+        assert_eq!(read_driver_part(&good).unwrap(), (3, 11));
+        // The part arrives inside a set somebody else wrote.
+        let (name, blob) = driver_part(3, 11);
+        let absent = set_with(Vec::new()).unwrap();
+        assert!(matches!(
+            read_driver_part(&absent),
+            Err(CkptError::Corrupt(_))
+        ));
+        let short = set_with(vec![(name.clone(), blob[..12].to_vec())]).unwrap();
+        assert!(matches!(
+            read_driver_part(&short),
+            Err(CkptError::Truncated(_))
+        ));
+        let long = set_with(vec![(name, [blob, vec![0]].concat())]).unwrap();
+        assert!(matches!(
+            read_driver_part(&long),
+            Err(CkptError::Corrupt(_))
+        ));
     }
 }

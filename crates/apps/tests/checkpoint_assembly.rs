@@ -65,3 +65,44 @@ fn checkpoint_restore_roundtrips_a_live_assembly() {
     // Geometry restored too.
     assert_eq!(mesh.level_domain(0).count(), 32 * 16);
 }
+
+/// The stream saves the exact patch-id counter, not `max(id) + 1`: after
+/// a regrid whose patches were destroyed again, a restored assembly must
+/// hand the next regrid the ids the uninterrupted one gets.
+#[test]
+fn restored_assembly_issues_the_same_patch_ids_as_the_live_one() {
+    let regrid_churn = |fw: &cca_core::Framework| {
+        let mesh: Rc<dyn MeshPort> = fw.get_provides_port("grace", "mesh").unwrap();
+        let data: Rc<dyn DataPort> = fw.get_provides_port("grace", "data").unwrap();
+        let ic: Rc<dyn InitialConditionPort> = fw.get_provides_port("ic", "ic").unwrap();
+        mesh.create(32, 16, 2.0, 1.0, 2);
+        data.create_data_object("U", 5, 2);
+        ic.apply("U");
+        assert!(!mesh.regrid(0, &[(10, 8), (11, 8)]).is_empty());
+        assert!(mesh.regrid(0, &[]).is_empty(), "empty flags drop level 1");
+        mesh
+    };
+    let live_fw = assemble();
+    let live = regrid_churn(&live_fw);
+    let ckpt: Rc<dyn CheckpointPort> = live_fw.get_provides_port("grace", "checkpoint").unwrap();
+    let bytes = ckpt.save_bytes().unwrap();
+
+    let restored_fw = assemble();
+    let restored: Rc<dyn MeshPort> = restored_fw.get_provides_port("grace", "mesh").unwrap();
+    let ckpt: Rc<dyn CheckpointPort> = restored_fw
+        .get_provides_port("grace", "checkpoint")
+        .unwrap();
+    ckpt.restore_bytes(&bytes).unwrap();
+
+    let flags = [(20, 4), (21, 5)];
+    let want = live.regrid(0, &flags);
+    assert!(!want.is_empty());
+    assert_eq!(restored.regrid(0, &flags), want);
+    assert_eq!(restored.patches(1), live.patches(1));
+    let live_ckpt: Rc<dyn CheckpointPort> =
+        live_fw.get_provides_port("grace", "checkpoint").unwrap();
+    assert!(
+        ckpt.save_bytes().unwrap() == live_ckpt.save_bytes().unwrap(),
+        "the two assemblies diverged"
+    );
+}

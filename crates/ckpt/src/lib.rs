@@ -39,7 +39,7 @@ pub mod store;
 
 /// The one FNV-1a of the workspace: set and ticket checksums here, job
 /// keys, ring points and artifact digests in `cca-serve`.
-pub use cca_mesh::checkpoint::{fnv1a64, FNV1A_INIT};
+pub use cca_mesh::wire::{fnv1a64, FNV1A_INIT};
 pub use component::ComponentSet;
 pub use coord::{restore, snapshot, FaultPlan, TAG_CKPT, TAG_RESTORE};
 pub use migrate::HandoffTicket;

@@ -13,7 +13,7 @@
 
 use crate::component::ComponentSet;
 use crate::set::CkptError;
-use cca_mesh::checkpoint::{fnv1a64, FNV1A_INIT};
+use cca_mesh::wire::{fnv1a64, FNV1A_INIT};
 
 /// Sealed summary of one checkpoint-set handoff between shards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -306,37 +306,25 @@ impl DataPort for GraceInner {
 
 impl crate::ports::CheckpointPort for GraceInner {
     fn save(&self, path: &str) -> Result<(), String> {
-        let hier = self.hier.borrow();
-        let hier = hier.as_ref().ok_or("no hierarchy to checkpoint")?;
-        let objects = self.objects.borrow();
-        let mut file =
-            std::io::BufWriter::new(std::fs::File::create(path).map_err(|e| e.to_string())?);
-        cca_mesh::checkpoint::write_checkpoint(hier, &objects, &mut file).map_err(|e| e.to_string())
+        std::fs::write(path, self.save_bytes()?).map_err(|e| e.to_string())
     }
 
     fn restore(&self, path: &str) -> Result<(), String> {
-        let mut file =
-            std::io::BufReader::new(std::fs::File::open(path).map_err(|e| e.to_string())?);
-        let (hier, objects) =
-            cca_mesh::checkpoint::read_checkpoint(&mut file).map_err(|e| e.to_string())?;
-        *self.hier.borrow_mut() = Some(hier);
-        *self.objects.borrow_mut() = objects;
-        Ok(())
+        self.restore_bytes(&std::fs::read(path).map_err(|e| e.to_string())?)
     }
 
     fn save_bytes(&self) -> Result<Vec<u8>, String> {
         let hier = self.hier.borrow();
         let hier = hier.as_ref().ok_or("no hierarchy to checkpoint")?;
-        let objects = self.objects.borrow();
-        let mut buf = Vec::new();
-        cca_mesh::checkpoint::write_checkpoint(hier, &objects, &mut buf)
-            .map_err(|e| e.to_string())?;
-        Ok(buf)
+        Ok(cca_mesh::checkpoint::write_checkpoint(
+            hier,
+            &self.objects.borrow(),
+        ))
     }
 
-    fn restore_bytes(&self, mut bytes: &[u8]) -> Result<(), String> {
+    fn restore_bytes(&self, bytes: &[u8]) -> Result<(), String> {
         let (hier, objects) =
-            cca_mesh::checkpoint::read_checkpoint(&mut bytes).map_err(|e| e.to_string())?;
+            cca_mesh::checkpoint::read_checkpoint(bytes).map_err(|e| e.to_string())?;
         *self.hier.borrow_mut() = Some(hier);
         *self.objects.borrow_mut() = objects;
         Ok(())

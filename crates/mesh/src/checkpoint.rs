@@ -1,37 +1,29 @@
-//! Checkpoint/restart of the SAMR state: hierarchy geometry plus any
-//! number of named Data Objects, in a self-describing little-endian
-//! binary format. Long SAMR campaigns (the paper's production flame run
-//! took 58 hours on 28 CPUs) are not survivable without restart files;
-//! GrACE/DAGH shipped the equivalent facility.
+//! Checkpoint/restart of the SAMR state, and the patch record every
+//! migration and checkpoint moves field data in. Long SAMR campaigns (the
+//! paper's production flame run took 58 hours on 28 CPUs) are not
+//! survivable without restart files; GrACE/DAGH shipped the equivalent
+//! facility.
 //!
-//! Format: magic `CCAH`, version u32, hierarchy block, object count, then
-//! per object: name, nvars, nghost, and per (level, patch) the interior
-//! box plus the raw interior+ghost field data.
+//! Both formats are built on [`crate::wire`]. The **patch record** is
+//! `u64 record length (whole record, length prefix and trailing checksum
+//! included), u64 level, u64 id, interior box, raw f64 data (all vars,
+//! interior + ghosts, dense rows), u64 FNV-1a of the body (level through
+//! data)`. The **`CCAH` stream** (version 2) is `magic, version u32, the
+//! hierarchy block ([`SavedHierarchy`]), one owner u64 per patch in block
+//! order, object count, then per Data Object: name, nvars u64, nghost i64,
+//! n_records u64 and that many concatenated patch records`.
 
 use crate::boxes::IntBox;
 use crate::data::{DataObject, PatchData};
-use crate::hierarchy::{Hierarchy, Patch};
+use crate::hierarchy::Hierarchy;
+use crate::wire::{self, put_box, put_bytes, put_f64s, put_header, put_i64, put_u64, seal};
+pub use crate::wire::{fnv1a64, CheckpointError, FNV1A_INIT};
+use crate::wire::{Reader, SavedHierarchy};
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
+use CheckpointError::Corrupt;
 
 const MAGIC: &[u8; 4] = b"CCAH";
-const VERSION: u32 = 1;
-
-/// FNV-1a initial offset basis (64-bit).
-pub const FNV1A_INIT: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV1A_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Plain 64-bit FNV-1a over a byte stream, seedable for chaining.
-/// The per-record and per-set integrity checksums of the checkpoint
-/// subsystem all use this (deterministic, dependency-free).
-pub fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV1A_PRIME);
-    }
-    h
-}
+const VERSION: u32 = 2;
 
 /// Fixed bytes of one patch record besides the field data: length prefix,
 /// level, id, interior box, trailing checksum.
@@ -41,117 +33,9 @@ const RECORD_OVERHEAD: usize = 8 + 8 + 8 + 32 + 8;
 /// reported as corruption without reading further.
 const RECORD_MAX: usize = 1 << 32;
 
-/// Upper bound accepted for a level count read from a stream.
-const MAX_LEVELS: usize = 64;
-
-/// Checkpoint errors.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// Not a checkpoint, or a different format version.
-    BadHeader(String),
-    /// Structurally invalid payload.
-    Corrupt(String),
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
-            CheckpointError::BadHeader(m) => write!(f, "bad checkpoint header: {m}"),
-            CheckpointError::Corrupt(m) => write!(f, "corrupt checkpoint: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
-impl From<io::Error> for CheckpointError {
-    fn from(e: io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
-
-fn put_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn put_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn put_i64(w: &mut impl Write, v: i64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn put_f64(w: &mut impl Write, v: f64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn put_str(w: &mut impl Write, s: &str) -> io::Result<()> {
-    put_u64(w, s.len() as u64)?;
-    w.write_all(s.as_bytes())
-}
-
-fn get_u32(r: &mut impl Read) -> Result<u32, CheckpointError> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn get_u64(r: &mut impl Read) -> Result<u64, CheckpointError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn get_i64(r: &mut impl Read) -> Result<i64, CheckpointError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(i64::from_le_bytes(b))
-}
-
-fn get_f64(r: &mut impl Read) -> Result<f64, CheckpointError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(f64::from_le_bytes(b))
-}
-
-fn get_str(r: &mut impl Read) -> Result<String, CheckpointError> {
-    let len = get_u64(r)? as usize;
-    if len > 1 << 20 {
-        return Err(CheckpointError::Corrupt(format!("string length {len}")));
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|e| CheckpointError::Corrupt(e.to_string()))
-}
-
-fn put_box(w: &mut impl Write, b: &IntBox) -> io::Result<()> {
-    put_i64(w, b.lo[0])?;
-    put_i64(w, b.lo[1])?;
-    put_i64(w, b.hi[0])?;
-    put_i64(w, b.hi[1])
-}
-
-fn get_box(r: &mut impl Read) -> Result<IntBox, CheckpointError> {
-    let lo = [get_i64(r)?, get_i64(r)?];
-    let hi = [get_i64(r)?, get_i64(r)?];
-    // `hi − lo + 1` must be a positive i64 on both axes: everything
-    // downstream (`nx`, `count`, `grow`) computes it unchecked.
-    let extent = |axis: usize| hi[axis].checked_sub(lo[axis])?.checked_add(1);
-    if !(0..2).all(|axis| extent(axis).is_some_and(|n| n >= 1)) {
-        return Err(CheckpointError::Corrupt(format!(
-            "box {lo:?}..{hi:?} is inverted or its extent overflows"
-        )));
-    }
-    Ok(IntBox::new(lo, hi))
-}
-
-/// Byte size of a patch's field data (all vars, interior + ghosts) whose
-/// geometry came from a stream, or `None` when it overflows.
-fn checked_data_len(interior: &IntBox, nvars: usize, nghost: i64) -> Option<usize> {
+/// [`patch_record_len`] for geometry that came from a stream: `None` when
+/// it overflows.
+fn checked_record_len(interior: &IntBox, nvars: usize, nghost: i64) -> Option<usize> {
     let mut n = nvars.checked_mul(8)?;
     for axis in 0..2 {
         let lo = interior.lo[axis].checked_sub(nghost)?;
@@ -159,90 +43,62 @@ fn checked_data_len(interior: &IntBox, nvars: usize, nghost: i64) -> Option<usiz
         let extent = hi.checked_sub(lo)?.checked_add(1)?;
         n = n.checked_mul(usize::try_from(extent).ok()?)?;
     }
-    Some(n)
+    n.checked_add(RECORD_OVERHEAD)
 }
 
-/// Read exactly `len` bytes. The buffer grows only as bytes actually
-/// arrive, so a stream that declares more data than it carries costs
-/// what it carries, not what it declares.
-fn get_bytes(r: &mut impl Read, len: usize) -> Result<Vec<u8>, CheckpointError> {
-    let mut buf = Vec::with_capacity(len.min(1 << 16));
-    r.take(len as u64).read_to_end(&mut buf)?;
-    if buf.len() != len {
-        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
-    }
-    Ok(buf)
-}
-
-/// Serialize one stored patch as a self-describing migration record:
-/// `u64 record length (whole record, length prefix and trailing checksum
-/// included), u64 level, u64 id, interior box, raw f64 data (all vars,
-/// interior + ghosts), u64 FNV-1a checksum of the body (level through
-/// data)`. Little-endian, same conventions as the checkpoint body, so a
-/// record is exactly [`patch_record_len`] bytes and a concatenation of
-/// records is a valid migration payload — and every record carries enough
-/// framing for [`patch_from_bytes`] to reject truncation or corruption
-/// with a typed error instead of misparsing garbage.
+/// Serialize one stored patch as a self-describing record (layout in the
+/// module docs). A record is exactly [`patch_record_len`] bytes and a
+/// concatenation of records is a valid migration payload — and every
+/// record carries enough framing for [`patch_from_bytes`] to reject
+/// truncation or corruption with a typed error instead of misparsing
+/// garbage.
 pub fn patch_to_bytes(level: usize, id: usize, pd: &PatchData, out: &mut Vec<u8>) {
     let start = out.len();
     let len = patch_record_len(&pd.interior, pd.nvars, pd.nghost);
-    put_u64(out, len as u64).expect("Vec writes are infallible");
-    put_u64(out, level as u64).expect("Vec writes are infallible");
-    put_u64(out, id as u64).expect("Vec writes are infallible");
-    put_box(out, &pd.interior).expect("Vec writes are infallible");
+    put_u64(out, len as u64);
+    put_u64(out, level as u64);
+    put_u64(out, id as u64);
+    put_box(out, &pd.interior);
     // Dense rows only: row padding is an in-memory artifact and must never
     // reach the wire (records stay byte-identical at any pitch quantum).
     let t = pd.total_box();
     for var in 0..pd.nvars {
         for j in t.lo[1]..=t.hi[1] {
-            for v in pd.row(var, j) {
-                put_f64(out, *v).expect("Vec writes are infallible");
-            }
+            put_f64s(out, pd.row(var, j));
         }
     }
-    let sum = fnv1a64(FNV1A_INIT, &out[start + 8..]);
-    put_u64(out, sum).expect("Vec writes are infallible");
+    seal(out, start + 8);
     debug_assert_eq!(out.len() - start, len);
 }
 
-/// Parse one migration record produced by [`patch_to_bytes`]. `nvars` and
-/// `nghost` come from the receiving Data Object (the record stores only
-/// geometry + raw data). Returns `(level, id, patch)`.
+/// Parse one record produced by [`patch_to_bytes`] off the front of
+/// `bytes`. `nvars` and `nghost` come from the receiving Data Object (the
+/// record stores only geometry + raw data). Returns `(level, id, patch)`.
 ///
 /// Every structural fault is a typed [`CheckpointError`], never a panic:
 /// an implausible or geometry-inconsistent length prefix and a checksum
-/// mismatch are `Corrupt`; a stream shorter than its own length prefix is
-/// `Io` (unexpected EOF).
+/// mismatch are `Corrupt`; input shorter than its own length prefix is
+/// `Truncated`. Storage is allocated only once all of the record's bytes
+/// are in hand and agree with its geometry.
 pub fn patch_from_bytes(
-    r: &mut impl Read,
+    bytes: &mut &[u8],
     nvars: usize,
     nghost: i64,
-) -> Result<(usize, usize, PatchData), CheckpointError> {
-    let len = get_u64(r)? as usize;
+) -> wire::Result<(usize, usize, PatchData)> {
+    let mut frame = Reader(bytes);
+    let len = frame.index()?;
     if !(RECORD_OVERHEAD + 8..=RECORD_MAX).contains(&len) {
-        return Err(CheckpointError::Corrupt(format!(
+        return Err(Corrupt(format!(
             "record length prefix {len} outside [{}, {RECORD_MAX}]",
             RECORD_OVERHEAD + 8
         )));
     }
-    // The prefix is a claim: the buffer grows with the bytes that arrive.
-    let body = get_bytes(r, len - 8)?;
-    let (payload, tail) = body.split_at(body.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-    let computed = fnv1a64(FNV1A_INIT, payload);
-    if stored != computed {
-        return Err(CheckpointError::Corrupt(format!(
-            "record checksum mismatch: stored {stored:016x}, computed {computed:016x}"
-        )));
-    }
-    let mut p = payload;
-    let level = get_u64(&mut p)? as usize;
-    let id = get_u64(&mut p)? as usize;
-    let interior = get_box(&mut p)?;
-    let want = checked_data_len(&interior, nvars, nghost)
-        .and_then(|data| data.checked_add(RECORD_OVERHEAD));
+    let mut r = Reader::sealed(frame.take(len - 8)?, "record")?;
+    *bytes = frame.0;
+    let (level, id, interior) = (r.index()?, r.index()?, r.boxx()?);
+    let want = checked_record_len(&interior, nvars, nghost);
     if want != Some(len) {
-        return Err(CheckpointError::Corrupt(format!(
+        return Err(Corrupt(format!(
             "record length {len} does not match geometry ({want:?} bytes for \
              box {:?}..{:?}, {nvars} vars, {nghost} ghosts)",
             interior.lo, interior.hi
@@ -252,12 +108,24 @@ pub fn patch_from_bytes(
     let t = pd.total_box();
     for var in 0..nvars {
         for j in t.lo[1]..=t.hi[1] {
-            for v in pd.row_mut(var, j).iter_mut() {
-                *v = get_f64(&mut p)?;
-            }
+            r.f64s(pd.row_mut(var, j))?;
         }
     }
     Ok((level, id, pd))
+}
+
+/// Split the next record off the front of `bytes` by its framing alone —
+/// no field data is parsed or copied. Returns `(level, id, record)`, or
+/// `None` at the end of the payload or at a frame that cannot be a record.
+pub fn split_record<'a>(bytes: &mut &'a [u8]) -> Option<(usize, usize, &'a [u8])> {
+    let mut r = Reader(bytes);
+    let (len, level, id) = (r.index().ok()?, r.index().ok()?, r.index().ok()?);
+    if len < RECORD_OVERHEAD + 8 || len > bytes.len() {
+        return None;
+    }
+    let (record, rest) = bytes.split_at(len);
+    *bytes = rest;
+    Some((level, id, record))
 }
 
 /// Exact wire size of one [`patch_to_bytes`] record for a patch with the
@@ -270,193 +138,72 @@ pub fn patch_record_len(interior: &IntBox, nvars: usize, nghost: i64) -> usize {
     RECORD_OVERHEAD + 8 * nvars * total
 }
 
-/// Write a checkpoint of `hier` and the given Data Objects.
-pub fn write_checkpoint(
-    hier: &Hierarchy,
-    objects: &BTreeMap<String, DataObject>,
-    w: &mut impl Write,
-) -> Result<(), CheckpointError> {
-    w.write_all(MAGIC)?;
-    put_u32(w, VERSION)?;
-    // Hierarchy geometry.
-    put_box(w, &hier.domain0)?;
-    put_f64(w, hier.origin[0])?;
-    put_f64(w, hier.origin[1])?;
-    put_f64(w, hier.dx0[0])?;
-    put_f64(w, hier.dx0[1])?;
-    put_i64(w, hier.ratio)?;
-    put_u64(w, hier.n_levels() as u64)?;
-    for level in &hier.levels {
-        put_u64(w, level.patches.len() as u64)?;
-        for p in &level.patches {
-            put_u64(w, p.id as u64)?;
-            put_box(w, &p.interior)?;
-            put_u64(w, p.owner as u64)?;
-        }
+/// Serialize `hier` and the given Data Objects as a `CCAH` stream.
+pub fn write_checkpoint(hier: &Hierarchy, objects: &BTreeMap<String, DataObject>) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_header(&mut out, MAGIC, VERSION);
+    SavedHierarchy::capture(hier).put(&mut out);
+    for p in hier.levels.iter().flat_map(|l| &l.patches) {
+        put_u64(&mut out, p.owner as u64);
     }
-    // Data objects.
-    put_u64(w, objects.len() as u64)?;
+    put_u64(&mut out, objects.len() as u64);
     for (name, dobj) in objects {
-        put_str(w, name)?;
-        put_u64(w, dobj.nvars as u64)?;
-        put_i64(w, dobj.nghost)?;
-        put_u64(w, dobj.n_levels() as u64)?;
-        for level in 0..dobj.n_levels() {
-            let ids = dobj.patch_ids(level);
-            put_u64(w, ids.len() as u64)?;
-            for id in ids {
-                let pd = dobj.patch(level, id).expect("listed id");
-                put_u64(w, id as u64)?;
-                put_box(w, &pd.interior)?;
-                let t = pd.total_box();
-                for var in 0..pd.nvars {
-                    for j in t.lo[1]..=t.hi[1] {
-                        for v in pd.row(var, j) {
-                            put_f64(w, *v)?;
-                        }
-                    }
-                }
-            }
+        put_bytes(&mut out, name.as_bytes());
+        put_u64(&mut out, dobj.nvars as u64);
+        put_i64(&mut out, dobj.nghost);
+        put_u64(&mut out, dobj.patches().count() as u64);
+        for (level, id, pd) in dobj.patches() {
+            patch_to_bytes(level, id, pd, &mut out);
         }
     }
-    Ok(())
+    out
 }
 
-/// Read a checkpoint back.
-pub fn read_checkpoint(
-    r: &mut impl Read,
-) -> Result<(Hierarchy, BTreeMap<String, DataObject>), CheckpointError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(CheckpointError::BadHeader(format!("magic {magic:?}")));
+/// Read a `CCAH` stream back. Beyond what the hierarchy block and each
+/// record check for themselves: every record must name a patch of the
+/// hierarchy block, with that patch's box, at most once per object — so
+/// counts and storage are bounded by the block, not by what an object
+/// section declares — and nothing may follow the last object.
+pub fn read_checkpoint(bytes: &[u8]) -> wire::Result<(Hierarchy, BTreeMap<String, DataObject>)> {
+    let mut r = Reader(bytes);
+    r.header(MAGIC, VERSION)?;
+    let saved = SavedHierarchy::get(&mut r)?;
+    let mut hier = saved.rebuild();
+    for p in hier.levels.iter_mut().flat_map(|l| &mut l.patches) {
+        p.owner = r.index()?;
     }
-    let version = get_u32(r)?;
-    if version != VERSION {
-        return Err(CheckpointError::BadHeader(format!("version {version}")));
-    }
-    let domain0 = get_box(r)?;
-    let origin = [get_f64(r)?, get_f64(r)?];
-    let dx0 = [get_f64(r)?, get_f64(r)?];
-    let ratio = get_i64(r)?;
-    if !(2..=16).contains(&ratio) {
-        return Err(CheckpointError::Corrupt(format!("ratio {ratio}")));
-    }
-    let mut hier = Hierarchy::new(domain0, origin, dx0, ratio);
-    let n_levels = get_u64(r)? as usize;
-    if n_levels == 0 || n_levels > MAX_LEVELS {
-        return Err(CheckpointError::Corrupt(format!("{n_levels} levels")));
-    }
-    hier.levels.clear();
-    let mut max_id = 0usize;
-    for _ in 0..n_levels {
-        let n_patches = get_u64(r)? as usize;
-        if n_patches > 1 << 24 {
-            return Err(CheckpointError::Corrupt(format!("{n_patches} patches")));
-        }
-        let mut level = crate::hierarchy::Level::default();
-        for _ in 0..n_patches {
-            let id = get_u64(r)? as usize;
-            let interior = get_box(r)?;
-            let owner = get_u64(r)? as usize;
-            let next = id
-                .checked_add(1)
-                .ok_or_else(|| CheckpointError::Corrupt(format!("patch id {id}")))?;
-            max_id = max_id.max(next);
-            level.patches.push(Patch {
-                id,
-                interior,
-                owner,
-            });
-        }
-        hier.levels.push(level);
-    }
-    hier.reserve_ids(max_id);
-    // (id → box) of every level: what a data record may name.
-    let hier_boxes: Vec<BTreeMap<usize, IntBox>> = hier
-        .levels
-        .iter()
-        .map(|l| l.patches.iter().map(|p| (p.id, p.interior)).collect())
+    let boxes: BTreeMap<(usize, usize), IntBox> = saved
+        .sorted_patches()
+        .into_iter()
+        .map(|(level, id, interior)| ((level, id), interior))
         .collect();
-    let no_boxes = BTreeMap::new();
-
-    let n_objects = get_u64(r)? as usize;
-    if n_objects > 1 << 16 {
-        return Err(CheckpointError::Corrupt(format!("{n_objects} objects")));
-    }
     let mut objects = BTreeMap::new();
-    for _ in 0..n_objects {
-        let name = get_str(r)?;
-        let nvars = get_u64(r)? as usize;
-        let nghost = get_i64(r)?;
-        if nvars == 0 || nvars > 1 << 12 || !(0..=16).contains(&nghost) {
-            return Err(CheckpointError::Corrupt(format!(
-                "object '{name}': nvars {nvars}, nghost {nghost}"
-            )));
-        }
+    for _ in 0..r.count(1 << 16, 32, "objects")? {
+        let name = r.string("object name")?;
+        let (nvars, nghost) = r.shape()?;
         let mut dobj = DataObject::new(nvars, nghost);
-        // Every data record must name a patch of the hierarchy block just
-        // parsed, once: counts and boxes are bounded by it, not by what
-        // the object section declares. (An object may carry empty levels
-        // the hierarchy has since dropped.)
-        let n_levels = get_u64(r)? as usize;
-        if n_levels > MAX_LEVELS {
-            return Err(CheckpointError::Corrupt(format!(
-                "object '{name}': {n_levels} levels"
-            )));
-        }
-        for level in 0..n_levels {
-            let hier_boxes = hier_boxes.get(level).unwrap_or(&no_boxes);
-            let n_patches = get_u64(r)?;
-            if n_patches > hier_boxes.len() as u64 {
-                return Err(CheckpointError::Corrupt(format!(
-                    "object '{name}' level {level}: {n_patches} patches, hierarchy has {}",
-                    hier_boxes.len()
+        dobj.ensure_levels(hier.n_levels());
+        for _ in 0..r.count(boxes.len(), RECORD_OVERHEAD + 8, "records")? {
+            let (level, id, pd) = patch_from_bytes(&mut r.0, nvars, nghost)?;
+            if boxes.get(&(level, id)) != Some(&pd.interior) || dobj.patch(level, id).is_some() {
+                return Err(Corrupt(format!(
+                    "object '{name}': record (level {level}, id {id}) {:?}..{:?} is not \
+                     a patch of the hierarchy, or appears twice",
+                    pd.interior.lo, pd.interior.hi
                 )));
             }
-            for _ in 0..n_patches {
-                let id = get_u64(r)? as usize;
-                let interior = get_box(r)?;
-                if hier_boxes.get(&id) != Some(&interior) || dobj.patch(level, id).is_some() {
-                    return Err(CheckpointError::Corrupt(format!(
-                        "object '{name}' level {level}: patch {id} {:?}..{:?} is not \
-                         a patch of the hierarchy, or appears twice",
-                        interior.lo, interior.hi
-                    )));
-                }
-                let len = checked_data_len(&interior, nvars, nghost).ok_or_else(|| {
-                    CheckpointError::Corrupt(format!(
-                        "object '{name}' level {level}: size of patch {id} {:?}..{:?} overflows",
-                        interior.lo, interior.hi
-                    ))
-                })?;
-                // All of the patch's bytes are in hand before its storage
-                // is allocated.
-                let raw = get_bytes(r, len)?;
-                let mut rest = raw.as_slice();
-                let mut pd = PatchData::new(interior, nvars, nghost);
-                let t = pd.total_box();
-                for var in 0..nvars {
-                    for j in t.lo[1]..=t.hi[1] {
-                        let row = pd.row_mut(var, j);
-                        let (head, tail) = rest.split_at(8 * row.len());
-                        for (v, b) in row.iter_mut().zip(head.chunks_exact(8)) {
-                            *v = f64::from_le_bytes(b.try_into().expect("8-byte chunk"));
-                        }
-                        rest = tail;
-                    }
-                }
-                dobj.insert(level, id, pd);
-            }
+            dobj.insert(level, id, pd);
         }
         objects.insert(name, dobj);
     }
+    r.finish("the last object")?;
     Ok((hier, objects))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regrid::{regrid_level, RegridParams};
 
     fn sample() -> (Hierarchy, BTreeMap<String, DataObject>) {
         let mut hier = Hierarchy::new(IntBox::sized(16, 16), [0.0, 0.0], [1.0 / 16.0; 2], 2);
@@ -483,9 +230,8 @@ mod tests {
     #[test]
     fn roundtrip_preserves_everything() {
         let (hier, objects) = sample();
-        let mut buf = Vec::new();
-        write_checkpoint(&hier, &objects, &mut buf).unwrap();
-        let (h2, o2) = read_checkpoint(&mut buf.as_slice()).unwrap();
+        let buf = write_checkpoint(&hier, &objects);
+        let (h2, o2) = read_checkpoint(&buf).unwrap();
         assert_eq!(h2.domain0, hier.domain0);
         assert_eq!(h2.ratio, hier.ratio);
         assert_eq!(h2.n_levels(), hier.n_levels());
@@ -494,18 +240,19 @@ mod tests {
             h2.levels[1].patches[0].interior,
             hier.levels[1].patches[0].interior
         );
-        let src = objects.get("state").unwrap();
-        let dst = o2.get("state").unwrap();
-        let id0 = hier.levels[0].patches[0].id;
-        assert_eq!(src.patch(0, id0).unwrap(), dst.patch(0, id0).unwrap());
+        let (src, dst) = (&objects["state"], &o2["state"]);
+        assert_eq!(src.patches().count(), 2);
+        for (level, id, pd) in src.patches() {
+            assert_eq!(Some(pd), dst.patch(level, id));
+        }
+        // Byte-stable: the restored state serializes to the same stream.
+        assert_eq!(write_checkpoint(&h2, &o2), buf);
     }
 
     #[test]
     fn fresh_ids_do_not_collide_after_restart() {
         let (hier, objects) = sample();
-        let mut buf = Vec::new();
-        write_checkpoint(&hier, &objects, &mut buf).unwrap();
-        let (mut h2, _) = read_checkpoint(&mut buf.as_slice()).unwrap();
+        let (mut h2, _) = read_checkpoint(&write_checkpoint(&hier, &objects)).unwrap();
         let existing: Vec<usize> = h2
             .levels
             .iter()
@@ -513,6 +260,30 @@ mod tests {
             .collect();
         let fresh = h2.fresh_id();
         assert!(!existing.contains(&fresh), "id {fresh} collides");
+    }
+
+    #[test]
+    fn stream_restores_the_id_watermark() {
+        // Regrid, then destroy the fine level: the counter has issued ids
+        // no live patch carries, so `max(id) + 1` undershoots it.
+        let mut hier = Hierarchy::new(IntBox::sized(16, 16), [0.0, 0.0], [1.0 / 16.0; 2], 2);
+        let mut dobj = DataObject::new(1, 1);
+        dobj.allocate(0, hier.levels[0].patches[0].id, hier.domain0);
+        let params = RegridParams::default();
+        regrid_level(&mut hier, 0, &[(7, 7), (8, 8)], &params, &mut [&mut dobj]);
+        assert!(!hier.levels[1].patches.is_empty(), "nothing was refined");
+        regrid_level(&mut hier, 0, &[], &params, &mut [&mut dobj]);
+        let live_max = hier
+            .levels
+            .iter()
+            .flat_map(|l| &l.patches)
+            .map(|p| p.id)
+            .max();
+        assert!(hier.next_id_watermark() > live_max.unwrap() + 1);
+        let objects = BTreeMap::from([("state".to_string(), dobj)]);
+        let (mut back, _) = read_checkpoint(&write_checkpoint(&hier, &objects)).unwrap();
+        assert_eq!(back.next_id_watermark(), hier.next_id_watermark());
+        assert_eq!(back.fresh_id(), hier.fresh_id());
     }
 
     #[test]
@@ -567,33 +338,54 @@ mod tests {
 
     #[test]
     fn concatenated_patch_records_parse_sequentially() {
-        let (hier, objects) = sample();
+        let (_, objects) = sample();
         let dobj = objects.get("state").unwrap();
         let mut buf = Vec::new();
-        let mut expect = Vec::new();
-        for (level, l) in hier.levels.iter().enumerate() {
-            for p in &l.patches {
-                patch_to_bytes(level, p.id, dobj.patch(level, p.id).unwrap(), &mut buf);
-                expect.push((level, p.id));
-            }
+        for (level, id, pd) in dobj.patches() {
+            patch_to_bytes(level, id, pd, &mut buf);
         }
-        let mut r = buf.as_slice();
-        for &(level, id) in &expect {
+        let (mut r, mut s) = (buf.as_slice(), buf.as_slice());
+        for (level, id, want) in dobj.patches() {
+            let before = s;
+            let (l, i, record) = split_record(&mut s).unwrap();
+            assert_eq!((l, i), (level, id));
+            assert_eq!(record, &before[..record.len()]);
             let (l, i, pd) = patch_from_bytes(&mut r, dobj.nvars, dobj.nghost).unwrap();
             assert_eq!((l, i), (level, id));
-            assert_eq!(&pd, dobj.patch(level, id).unwrap());
+            assert_eq!(&pd, want);
+            assert_eq!(r, s, "parse and split disagree on where the record ends");
         }
         assert!(r.is_empty(), "trailing bytes after last record");
+        assert!(split_record(&mut s).is_none());
         // Every proper prefix of the two-record payload runs out of input
         // in one of the records: a typed error, never a panic.
-        assert_eq!(expect.len(), 2);
         for keep in 0..buf.len() {
             let mut r = &buf[..keep];
             let err = patch_from_bytes(&mut r, dobj.nvars, dobj.nghost)
                 .and_then(|_| patch_from_bytes(&mut r, dobj.nvars, dobj.nghost))
                 .err()
                 .unwrap();
-            assert!(matches!(err, CheckpointError::Io(_)), "keep {keep}: {err}");
+            assert!(
+                matches!(err, CheckpointError::Truncated(_)),
+                "keep {keep}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn split_record_stops_at_a_frame_that_cannot_be_a_record() {
+        // A zero length prefix must end the walk, not stall it; so must a
+        // prefix longer than the payload.
+        let (_, objects) = sample();
+        let (level, id, pd) = objects["state"].patches().next().unwrap();
+        let mut good = Vec::new();
+        patch_to_bytes(level, id, pd, &mut good);
+        for hostile in [0u64, 1, 71, good.len() as u64 + 1, u64::MAX] {
+            let mut buf = good.clone();
+            buf[..8].copy_from_slice(&hostile.to_le_bytes());
+            let mut rest = buf.as_slice();
+            assert!(split_record(&mut rest).is_none(), "length prefix {hostile}");
+            assert_eq!(rest.len(), buf.len(), "nothing is consumed");
         }
     }
 
@@ -639,140 +431,56 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_rejected() {
-        let err = read_checkpoint(&mut &b"NOPE\x01\x00\x00\x00"[..])
-            .err()
-            .unwrap();
-        assert!(matches!(err, CheckpointError::BadHeader(_)), "{err}");
-    }
-
-    /// A checkpoint of `hier` whose single object "state" (1 var, no
-    /// ghosts) has one level of hand-written `(id, box, n_zero_values)`
-    /// records.
-    fn hand_written(hier: &Hierarchy, records: &[(usize, IntBox, usize)]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        write_checkpoint(hier, &BTreeMap::new(), &mut buf).unwrap();
-        buf.truncate(buf.len() - 8); // the empty object count
-        put_u64(&mut buf, 1).unwrap();
-        put_str(&mut buf, "state").unwrap();
-        put_u64(&mut buf, 1).unwrap(); // nvars
-        put_i64(&mut buf, 0).unwrap(); // nghost
-        put_u64(&mut buf, 1).unwrap(); // n_levels
-        put_u64(&mut buf, records.len() as u64).unwrap();
-        for (id, interior, n_values) in records {
-            put_u64(&mut buf, *id as u64).unwrap();
-            put_box(&mut buf, interior).unwrap();
-            buf.resize(buf.len() + 8 * n_values, 0);
+    fn bad_magic_and_the_retired_version_1_are_rejected() {
+        let (hier, objects) = sample();
+        let mut buf = write_checkpoint(&hier, &objects);
+        buf[4..8].copy_from_slice(&1u32.to_le_bytes());
+        for bytes in [&b"NOPE\x02\x00\x00\x00"[..], &buf] {
+            let err = read_checkpoint(bytes).err().unwrap();
+            assert!(matches!(err, CheckpointError::BadHeader(_)), "{err}");
         }
-        buf
     }
 
     #[test]
-    fn hostile_sizes_are_typed_errors_not_allocations() {
-        let square = |edge: i64| IntBox::new([0, 0], [edge - 1, edge - 1]);
-        let hier_of = |interior: IntBox| {
-            let mut hier = Hierarchy::new(square(16), [0.0, 0.0], [1.0; 2], 2);
-            hier.levels[0].patches[0].interior = interior;
-            let spare = Patch {
-                id: hier.fresh_id(),
-                interior: IntBox::new([-16, 0], [-1, 15]),
-                owner: 0,
-            };
-            hier.levels[0].patches.push(spare);
-            hier
-        };
-        let hier = hier_of(square(16));
-        let id = hier.levels[0].patches[0].id;
-        let good = hand_written(&hier, &[(id, square(16), 256)]);
-        assert!(read_checkpoint(&mut good.as_slice()).is_ok());
-        let rejected = |buf: &[u8], why: &str| {
-            let err = read_checkpoint(&mut &buf[..]).err().unwrap();
+    fn records_must_name_hierarchy_patches_once_and_nothing_may_trail() {
+        let (hier, objects) = sample();
+        let good = write_checkpoint(&hier, &objects);
+        let rejected = |bytes: &[u8], why: &str| {
+            let err = read_checkpoint(bytes).err().unwrap();
             assert!(matches!(err, CheckpointError::Corrupt(_)), "{why}: {err}");
             assert!(err.to_string().contains(why), "{why}: {err}");
         };
-        // A 2^31 x 2^31 data record the hierarchy does not have (the old
-        // reader allocated it up front), and a patch listed twice.
-        rejected(
-            &hand_written(&hier, &[(id, square(1 << 31), 0)]),
-            "not a patch",
-        );
-        let record = (id, square(16), 256);
-        rejected(&hand_written(&hier, &[record, record]), "not a patch");
-        // A box hierarchy and record agree on: only checked arithmetic
-        // stops the overflowing one, and the 8 TiB one must run out of
-        // input, not out of memory.
-        let far = IntBox::new([0, 0], [i64::MAX, i64::MAX]);
-        rejected(&hand_written(&hier_of(far), &[(id, far, 0)]), "overflows");
-        let big = hand_written(&hier_of(square(1 << 20)), &[(id, square(1 << 20), 8)]);
-        let err = read_checkpoint(&mut big.as_slice()).err().unwrap();
-        assert!(matches!(err, CheckpointError::Io(_)), "{err}");
-        // Counts beyond what the hierarchy block holds: n_levels and
-        // n_patches sit just before the one (id, box, data) record.
-        let n_patches_at = good.len() - (8 + 32 + 8 * 256) - 8;
-        for (at, why) in [(n_patches_at - 8, "levels"), (n_patches_at, "patches")] {
-            let mut bad = good.clone();
-            bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-            rejected(&bad, why);
-        }
-    }
-
-    #[test]
-    fn hostile_patch_records_are_typed_errors_not_allocations() {
-        // 16 bytes that declare a 4 GiB record: the stream runs out, the
-        // declared size is never allocated.
-        let mut declared = Vec::new();
-        put_u64(&mut declared, RECORD_MAX as u64).unwrap();
-        put_u64(&mut declared, 0).unwrap();
-        let err = patch_from_bytes(&mut declared.as_slice(), 1, 0)
-            .err()
-            .unwrap();
-        assert!(matches!(err, CheckpointError::Io(_)), "{err}");
-        // An intact record (checksum passes) around a box whose extent
-        // overflows i64; the same box as a checkpoint's level-0 domain.
-        let all = IntBox::new([i64::MIN; 2], [i64::MAX; 2]);
-        let mut record = Vec::new();
-        put_u64(&mut record, (RECORD_OVERHEAD + 8) as u64).unwrap();
-        put_u64(&mut record, 0).unwrap(); // level
-        put_u64(&mut record, 7).unwrap(); // id
-        put_box(&mut record, &all).unwrap();
-        put_f64(&mut record, 1.0).unwrap();
-        let sum = fnv1a64(FNV1A_INIT, &record[8..]);
-        put_u64(&mut record, sum).unwrap();
-        let mut header = Vec::new();
-        header.extend_from_slice(MAGIC);
-        put_u32(&mut header, VERSION).unwrap();
-        put_box(&mut header, &all).unwrap();
-        for err in [
-            patch_from_bytes(&mut record.as_slice(), 1, 0)
-                .err()
-                .unwrap(),
-            read_checkpoint(&mut header.as_slice()).err().unwrap(),
-        ] {
-            assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
-            assert!(err.to_string().contains("overflows"), "{err}");
-        }
-    }
-
-    #[test]
-    fn every_truncation_is_a_typed_error() {
-        let (hier, objects) = sample();
-        let mut buf = Vec::new();
-        write_checkpoint(&hier, &objects, &mut buf).unwrap();
-        for keep in 0..buf.len() {
-            let err = read_checkpoint(&mut &buf[..keep]).err().unwrap();
-            assert!(matches!(err, CheckpointError::Io(_)), "keep {keep}: {err}");
-        }
+        let mut trailing = good.clone();
+        trailing.push(0);
+        rejected(&trailing, "trailing");
+        // The same object over a hierarchy whose fine patch sits elsewhere:
+        // an intact record the hierarchy block does not know.
+        let mut moved = hier.clone();
+        moved.levels[1].patches[0].interior = IntBox::new([0, 0], [15, 15]);
+        rejected(&write_checkpoint(&moved, &objects), "not a patch");
+        // One record twice, in a stream that declares two records.
+        let dobj = &objects["state"];
+        let mut twice = write_checkpoint(&hier, &BTreeMap::new());
+        twice.truncate(twice.len() - 8); // the empty object count
+        put_u64(&mut twice, 1);
+        put_bytes(&mut twice, b"state");
+        put_u64(&mut twice, dobj.nvars as u64);
+        put_i64(&mut twice, dobj.nghost);
+        put_u64(&mut twice, 2);
+        let (level, id, pd) = dobj.patches().next().unwrap();
+        patch_to_bytes(level, id, pd, &mut twice);
+        patch_to_bytes(level, id, pd, &mut twice);
+        rejected(&twice, "appears twice");
     }
 
     #[test]
     fn corrupted_ratio_rejected() {
         let (hier, objects) = sample();
-        let mut buf = Vec::new();
-        write_checkpoint(&hier, &objects, &mut buf).unwrap();
+        let mut buf = write_checkpoint(&hier, &objects);
         // ratio sits after magic(4) + version(4) + box(32) + origin/dx(32).
         let off = 4 + 4 + 32 + 32;
         buf[off..off + 8].copy_from_slice(&999i64.to_le_bytes());
-        let err = read_checkpoint(&mut buf.as_slice()).err().unwrap();
+        let err = read_checkpoint(&buf).err().unwrap();
         assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
     }
 }

@@ -453,6 +453,14 @@ impl DataObject {
         self.levels.get_mut(level).and_then(|l| l.remove(&patch_id))
     }
 
+    /// Every stored patch as `(level, id, data)`, in `(level, id)` order.
+    pub fn patches(&self) -> impl Iterator<Item = (usize, usize, &PatchData)> {
+        self.levels
+            .iter()
+            .enumerate()
+            .flat_map(|(level, l)| l.iter().map(move |(&id, pd)| (level, id, pd)))
+    }
+
     /// Ids of patches with data on `level`.
     pub fn patch_ids(&self, level: usize) -> Vec<usize> {
         self.levels

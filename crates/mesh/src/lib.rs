@@ -22,7 +22,10 @@
 //! * patches are assigned to ranks by a work-aware load balancer that
 //!   keeps children with their parents where possible ([`balance`]), and
 //!   the uniform (adaptivity-off) decomposition used by the paper's
-//!   scaling studies lives in [`decomp`].
+//!   scaling studies lives in [`decomp`];
+//! * field data leaves and enters memory through one byte layer
+//!   ([`wire`]): the patch record that migration and every checkpoint
+//!   container carry, and the `CheckpointPort` stream ([`checkpoint`]).
 
 pub mod balance;
 pub mod bc;
@@ -37,6 +40,7 @@ pub mod hierarchy;
 pub mod interp;
 pub mod layout;
 pub mod regrid;
+pub mod wire;
 
 pub use bc::{apply_physical_bc, BcKind, Side};
 pub use boxes::IntBox;

@@ -182,7 +182,7 @@ fn fleet_loadgen_loses_no_jobs_and_pins_the_pr10_scenario() {
     assert_eq!(r.rejected_deadline, 0);
     assert_eq!(r.rejection_events, 4);
     assert_eq!(r.total_ticks, 290);
-    assert_eq!(r.outcome_checksum, 0x5113_558c_e54a_6c5e);
+    assert_eq!(r.outcome_checksum, 0xfa3a_b4bd_59a7_3aa2);
     let s = &r.stats;
     assert_eq!(s.steals, 102, "work stealing never engaged");
     assert_eq!(s.migrations, 3, "no checkpoint handoff crossed shards");
